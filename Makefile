@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: ci vet build test race fuzz-short fuzz bench bench-capture bench-smoke golden trace-determinism chaos overload obs obs-live arena testnet soak
+.PHONY: ci vet build test race fuzz-short fuzz bench bench-capture bench-smoke golden gate-patterns trace-determinism chaos overload obs obs-live arena testnet soak
 
-## ci: the full pre-merge gate — vet, build, tests under the race
+## ci: the full pre-merge gate — vet, build, the check that every
+## name-selected gate still selects tests, tests under the race
 ## detector, the fuzz seed corpora in short mode, the event-trace
 ## replication check, the chaos, overload, observability (sim and
 ## live), arena, testnet and soak gates, and the bench-capture smoke
 ## check.
-ci: vet build race fuzz-short trace-determinism chaos overload obs obs-live arena testnet soak bench-smoke
+ci: vet build gate-patterns race fuzz-short trace-determinism chaos overload obs obs-live arena testnet soak bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -59,31 +60,67 @@ bench-capture:
 bench-smoke:
 	$(GO) run ./cmd/benchcap -smoke
 
-## trace-determinism: the event-stream replication gate — the full JSONL
-## trace of every reservation mode must be byte-identical at any worker
-## count.
+## The -run patterns of the name-selected gates below. gate-patterns
+## checks each against its packages. The chaos, overload, obs and arena
+## gates also run their family's row of the worker-count determinism
+## test.
+TRACE_RUN = TraceDeterminism
+CHAOS_RUN = Chaos|TraceDeterminism/chaos
+OVERLOAD_RUN = Overload|TraceDeterminism/overload
+OBS_RUN = Obs|TraceDeterminism/obs
+ARENA_RUN = Arena|TraceDeterminism/arena
+LIVEOBS_RUN = TestLiveObs|TestDisabledPathZeroAlloc
+TELEMETRY_RUN = Telemetry
+LOOPBACK_RUN = TestLoopback
+SOAK_RUN = TestSoak|TestNetfaultsEmptyPlan
+
+## gate-patterns: go test passes when a -run pattern matches nothing,
+## so a renamed test could silently empty a gate. This lists the tests
+## each gate pattern selects, package by package, and fails when any
+## selects none.
+gate-patterns:
+	@check() { pat="$$1"; shift; for pkg in "$$@"; do \
+		out=$$($(GO) test -list "$$pat" "$$pkg") || exit 1; \
+		if ! printf '%s\n' "$$out" | grep -q '^\(Test\|Fuzz\|Example\)'; then \
+			echo "gate-patterns: -run '$$pat' selects no tests in $$pkg"; exit 1; \
+		fi; \
+	done; }; \
+	check '$(TRACE_RUN)' ./internal/sim && \
+	check '$(CHAOS_RUN)' ./internal/sim && \
+	check '$(OVERLOAD_RUN)' ./internal/sim && \
+	check '$(OBS_RUN)' ./internal/sim && \
+	check '$(ARENA_RUN)' ./internal/sim && \
+	check '$(LIVEOBS_RUN)' ./internal/testnet ./internal/obs/live && \
+	check '$(TELEMETRY_RUN)' ./cmd/armsim ./cmd/armnode && \
+	check '$(LOOPBACK_RUN)' ./internal/testnet && \
+	check '$(SOAK_RUN)' ./internal/testnet
+
+## trace-determinism: the event-stream replication gate — every
+## campus-family scenario list (modes, T_th, grid, chaos, overload,
+## observed and arena) must give identical results, byte-identical JSONL
+## traces and an identical merged obs snapshot at any worker count.
 trace-determinism:
-	$(GO) test -run 'TraceDeterminism' ./internal/sim
+	$(GO) test -run '$(TRACE_RUN)' ./internal/sim
 
 ## chaos: the fault-injection recovery gate — chaos scenarios run under
 ## the race detector, recovery invariants are audited, and the pinned
 ## seed-1 fault trace must not drift.
 chaos:
-	$(GO) test -race -run 'Chaos' ./internal/sim
+	$(GO) test -race -run '$(CHAOS_RUN)' ./internal/sim
 	$(GO) test -race ./internal/faults
 
 ## overload: the overload-control gate — the load-ramp scenarios run
 ## under the race detector, the degrade-before-drop invariant is
 ## audited, and the pinned seed-1 overload trace must not drift.
 overload:
-	$(GO) test -race -run 'Overload' ./internal/sim
+	$(GO) test -race -run '$(OVERLOAD_RUN)' ./internal/sim
 	$(GO) test -race ./internal/overload
 
 ## obs: the observability gate — the zero-perturbation guarantee, the
 ## instrument/span determinism checks, and the pinned seed-1 snapshot
 ## goldens, all under the race detector.
 obs:
-	$(GO) test -race -run 'Obs' ./internal/sim
+	$(GO) test -race -run '$(OBS_RUN)' ./internal/sim
 	$(GO) test -race ./internal/obs
 
 ## obs-live: the live-plane observability gate — arming the wire
@@ -94,9 +131,9 @@ obs:
 ## and the shared telemetry endpoints (armsim and armnode alike) must
 ## serve metrics, health, span tails and profiles correctly.
 obs-live:
-	$(GO) test -run 'TestLiveObs|TestDisabledPathZeroAlloc' -count=1 ./internal/testnet ./internal/obs/live
+	$(GO) test -run '$(LIVEOBS_RUN)' -count=1 ./internal/testnet ./internal/obs/live
 	$(GO) test -race ./internal/obs/live ./internal/telemetry
-	$(GO) test -race -run 'Telemetry' ./cmd/armsim ./cmd/armnode
+	$(GO) test -race -run '$(TELEMETRY_RUN)' ./cmd/armsim ./cmd/armnode
 
 ## arena: the strategy-seam gate — the head-to-head roster runs under
 ## the race detector (worker-count determinism, the pinned seed-1
@@ -104,7 +141,7 @@ obs-live:
 ## campus run) alongside the strategy package's property and
 ## dispatch-cost tests.
 arena:
-	$(GO) test -race -run 'Arena' ./internal/sim
+	$(GO) test -race -run '$(ARENA_RUN)' ./internal/sim
 	$(GO) test -race ./internal/strategy
 
 ## testnet: the live-vs-sim oracle — the scripted campus scenario run
@@ -113,7 +150,7 @@ arena:
 ## and a clean final audit. Socket-free (the UDP cluster test runs in
 ## `race` but skips under -short).
 testnet:
-	$(GO) test -run 'TestLoopback' -count=1 ./internal/testnet
+	$(GO) test -run '$(LOOPBACK_RUN)' -count=1 ./internal/testnet
 	$(GO) test -race -count=1 ./internal/clock ./internal/testnet
 
 ## soak: the chaos-soak gate — a short deterministic soak (generated
@@ -123,7 +160,7 @@ testnet:
 ## byte-for-byte. Includes the zero-cost proof that an empty netfaults
 ## plan leaves the loopback traces untouched.
 soak:
-	$(GO) test -run 'TestSoak|TestNetfaultsEmptyPlan' -count=1 ./internal/testnet
+	$(GO) test -run '$(SOAK_RUN)' -count=1 ./internal/testnet
 
 ## golden: regenerate the checked-in CLI fixtures after an intentional
 ## output change.

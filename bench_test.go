@@ -221,9 +221,8 @@ func BenchmarkAblationPredictiveVsBruteForce(b *testing.B) {
 func BenchmarkAblationTthSensitivity(b *testing.B) {
 	var small, large float64
 	for i := 0; i < b.N; i++ {
-		pts, err := armnet.RunTthSensitivity(armnet.CampusConfig{
-			Seed: int64(i + 1), Portables: 16, Duration: 900, Dwell: 120,
-		}, []float64{30, 600})
+		base := armnet.Scenario{Seed: int64(i + 1), Portables: 16, Duration: 900, Dwell: 120}
+		pts, _, err := armnet.RunScenarios(context.Background(), base.Thresholds([]float64{30, 600}), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,7 +239,7 @@ func BenchmarkAblationTthSensitivity(b *testing.B) {
 // seconds per wall-clock second, the number the ROADMAP's "10x more
 // simulated portables per wall-clock second" goal is tracked by.
 func BenchmarkCampusEndToEnd(b *testing.B) {
-	cfg := armnet.CampusConfig{Portables: 32, Duration: 900, Dwell: 60, Mode: armnet.ModePredictive}
+	cfg := armnet.Scenario{Portables: 32, Duration: 900, Dwell: 60, Mode: armnet.ModePredictive}
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
 		if _, err := armnet.RunCampus(cfg); err != nil {
@@ -259,11 +258,11 @@ func BenchmarkCampusEndToEnd(b *testing.B) {
 // result ordering), and reports the same portables-per-wall-second
 // throughput across all trials.
 func BenchmarkRunnerSweep(b *testing.B) {
-	cfg := armnet.CampusConfig{Portables: 24, Duration: 600, Dwell: 60}
+	cfg := armnet.Scenario{Portables: 24, Duration: 600, Dwell: 60}
 	const modes = 3
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		if _, _, err := armnet.RunCampusComparisonParallel(context.Background(), cfg, 0); err != nil {
+		if _, _, err := armnet.RunScenarios(context.Background(), cfg.Modes(), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,7 +278,7 @@ func BenchmarkScaleGridBuilding(b *testing.B) {
 	var events uint64
 	var secs float64
 	for i := 0; i < b.N; i++ {
-		r, err := armnet.RunGrid(armnet.GridConfig{Seed: int64(i + 1), Duration: 900})
+		r, err := armnet.RunGrid(armnet.Scenario{Seed: int64(i + 1), Duration: 900})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,19 +317,20 @@ func BenchmarkAblationLooseVsRigidBounds(b *testing.B) {
 // paper pair's drop rate and control-packet bill against the cheapest
 // rival's, plus roster throughput.
 func BenchmarkArenaHeadToHead(b *testing.B) {
-	cfg := armnet.ArenaConfig{Portables: 24, Duration: 900, BMin: 256e3, BMax: 1.2e6}
+	cfg := armnet.Scenario{Portables: 24, Duration: 900, BMin: 256e3, BMax: 1.2e6}
 	var paperDrop, paperMsgs, minMsgs float64
 	var pairs int
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		entries, err := armnet.RunArena(cfg)
+		roster := cfg.Roster(nil)
+		entries, _, err := armnet.RunScenarios(context.Background(), roster, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		pairs = len(entries)
 		low := -1.0
-		for _, e := range entries {
-			if e.Pair.Label() == "maxmin+table2" {
+		for j, e := range entries {
+			if roster[j].Pair.Label() == "maxmin+table2" {
 				paperDrop += e.DropRate
 				paperMsgs += float64(e.Control.Messages)
 			}

@@ -435,15 +435,15 @@ func runArena(sc scenario, seed int64, parallel int, out, statsOut io.Writer) er
 	if sc.topo != "campus" || sc.topoJSON != nil {
 		return fmt.Errorf("-arena runs the campus workload; drop -topology/-topology-file")
 	}
-	cfg := armnet.ArenaConfig{
+	roster := armnet.Scenario{
 		Seed: seed, Portables: sc.portables, Duration: sc.duration,
 		Dwell: sc.dwell, Mode: sc.mode, BMin: sc.bmin, BMax: sc.bmax,
-	}
-	entries, st, err := armnet.RunArenaSweep(context.Background(), cfg, parallel)
+	}.Roster(nil)
+	entries, st, err := armnet.RunScenarios(context.Background(), roster, parallel)
 	if err != nil {
 		return err
 	}
-	if _, err := out.Write(armnet.RenderArena(cfg, entries)); err != nil {
+	if _, err := out.Write(armnet.RenderArena(roster, entries)); err != nil {
 		return err
 	}
 	fmt.Fprintf(statsOut, "armsim: %s\n", st)

@@ -24,6 +24,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -235,24 +236,34 @@ func fig6(o opts) error {
 	return nil
 }
 
-// campusCfg is the campus experiment's configuration at a given seed
-// (mode left zero = predictive; the comparison runner overrides it).
-func campusCfg(seed int64) armnet.CampusConfig {
-	return armnet.CampusConfig{Seed: seed, Portables: 24, Duration: 2400}
+// campusCfg is the campus experiment's scenario at a given seed (mode
+// left zero = predictive, the first entry of Modes).
+func campusCfg(seed int64) armnet.Scenario {
+	return armnet.Scenario{Seed: seed, Portables: 24, Duration: 2400}
 }
 
-// campusTrace reruns the predictive-mode campus scenario with a JSONL
-// event recorder attached and returns the trace bytes (-trace flag and
-// the campustrace golden test).
+// campusTrace runs the predictive-mode campus scenario with a JSONL
+// event recorder attached and returns the trace bytes (the campustrace
+// golden test).
 func campusTrace(seed int64) ([]byte, error) {
-	_, trace, err := armnet.RunCampusTrace(campusCfg(seed))
-	return trace, err
+	var buf bytes.Buffer
+	s := campusCfg(seed)
+	s.Trace = &buf
+	_, err := armnet.RunCampus(s)
+	return buf.Bytes(), err
 }
 
 // campus is the extension experiment: the integrated manager under the
 // three reservation modes on random-walk mobility, one worker per mode.
+// -trace and -obs-snapshot arm their sinks on the predictive-mode run.
 func campus(o opts) error {
-	rs, st, err := armnet.RunCampusComparisonParallel(context.Background(), campusCfg(o.seed), o.parallel)
+	list := campusCfg(o.seed).Modes()
+	var trace bytes.Buffer
+	if o.tracePath != "" {
+		list[0].Trace = &trace
+	}
+	list[0].Obs = o.obsPath != ""
+	rs, st, err := armnet.RunScenarios(context.Background(), list, o.parallel)
 	if err != nil {
 		return err
 	}
@@ -264,21 +275,13 @@ func campus(o opts) error {
 	fmt.Fprint(o.out, tb.String())
 	fmt.Fprintf(o.statsOut, "campus: %s\n", st)
 	if o.tracePath != "" {
-		trace, err := campusTrace(o.seed)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.tracePath, trace, 0o644); err != nil {
+		if err := os.WriteFile(o.tracePath, trace.Bytes(), 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(o.statsOut, "campus: wrote event trace to %s\n", o.tracePath)
 	}
 	if o.obsPath != "" {
-		_, snap, err := armnet.RunCampusObs(campusCfg(o.seed))
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.obsPath, snap.Prometheus(), 0o644); err != nil {
+		if err := os.WriteFile(o.obsPath, rs[0].Snapshot.Prometheus(), 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(o.statsOut, "campus: wrote instrument snapshot to %s\n", o.obsPath)
@@ -289,14 +292,15 @@ func campus(o opts) error {
 // tth sweeps the static/mobile threshold T_th (DESIGN.md's ablation), one
 // worker per threshold point.
 func tth(o opts) error {
-	points, st, err := armnet.RunTthSensitivityParallel(context.Background(), campusCfg(o.seed), nil, o.parallel)
+	list := campusCfg(o.seed).Thresholds(nil)
+	points, st, err := armnet.RunScenarios(context.Background(), list, o.parallel)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(o.out, "T_th sensitivity (small T_th flips portables static early):")
 	tb := stats.Table{Header: []string{"T_th(s)", "drop-rate", "block-rate", "reservations", "pool-claims", "pred-share"}}
-	for _, p := range points {
-		tb.AddRow(p.Tth, p.DropRate, p.BlockRate, p.AdvanceReservations, p.PoolClaims, p.PredictedShare)
+	for i, p := range points {
+		tb.AddRow(list[i].Tth, p.DropRate, p.BlockRate, p.AdvanceReservations, p.PoolClaims, p.PredictedShare)
 	}
 	fmt.Fprint(o.out, tb.String())
 	fmt.Fprintf(o.statsOut, "tth: %s\n", st)

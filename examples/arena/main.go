@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -21,7 +22,7 @@ func main() {
 	fmt.Printf("registered allocators: %v\n", armnet.Allocators())
 	fmt.Printf("registered admitters:  %v\n\n", armnet.Admitters())
 
-	cfg := armnet.ArenaConfig{
+	roster := armnet.Scenario{
 		Seed:      1,
 		Portables: 24,
 		Duration:  900,
@@ -29,19 +30,19 @@ func main() {
 		// workload renders every strategy identical.
 		BMin: 256e3,
 		BMax: 1.2e6,
-	}
-	entries, err := armnet.RunArena(cfg)
+	}.Roster(nil)
+	entries, _, err := armnet.RunScenarios(context.Background(), roster, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	os.Stdout.Write(armnet.RenderArena(cfg, entries))
+	os.Stdout.Write(armnet.RenderArena(roster, entries))
 
-	best := entries[0]
-	for _, e := range entries[1:] {
-		if e.DropRate < best.DropRate ||
-			(e.DropRate == best.DropRate && e.Control.Messages < best.Control.Messages) {
-			best = e
+	best := 0
+	for i, e := range entries {
+		if e.DropRate < entries[best].DropRate ||
+			(e.DropRate == entries[best].DropRate && e.Control.Messages < entries[best].Control.Messages) {
+			best = i
 		}
 	}
-	fmt.Printf("\nfewest dropped handoffs (control packets as tiebreak): %s\n", best.Pair.Label())
+	fmt.Printf("\nfewest dropped handoffs (control packets as tiebreak): %s\n", roster[best].Pair.Label())
 }

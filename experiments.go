@@ -40,26 +40,18 @@ type (
 	Figure2Config = sim.Figure2Config
 	Figure2Result = sim.Figure2Result
 
-	// CampusConfig / CampusResult: integrated campus scenario comparing
-	// reservation modes (extension experiment: drop/block rates and
-	// handoff signaling latency, predicted vs unpredicted).
-	CampusConfig = sim.CampusConfig
-	CampusResult = sim.CampusResult
-
-	// TthPoint is one sample of the T_th sensitivity ablation.
-	TthPoint = sim.TthPoint
-
-	// ArenaConfig / ArenaEntry / StrategyPair: the head-to-head strategy
-	// arena — every registered allocator/admitter pair runs the
-	// *identical* campus workload (same seed, mobility and demands) and
-	// the entries compare outcome against control-plane cost.
-	ArenaConfig  = sim.ArenaConfig
-	ArenaEntry   = sim.ArenaEntry
+	// Scenario / ScenarioResult: one campus-family world (the campus
+	// wing or a grid building, random walk or overload ramp, optional
+	// fault plan, overload policy, strategy pair and trace/obs sinks) and
+	// its outcome. CampusResult is the drop/block/latency summary every
+	// result embeds. Scenario's Replicate, Modes, Thresholds and Roster
+	// methods build the replication, mode-comparison, T_th and arena
+	// lists that RunScenarios runs.
+	Scenario       = sim.Scenario
+	ScenarioResult = sim.Result
+	CampusResult   = sim.CampusResult
+	// StrategyPair names one allocator/admitter combination of the arena.
 	StrategyPair = sim.StrategyPair
-
-	// GridConfig / GridResult: scale scenario on a rows×cols building.
-	GridConfig = sim.GridConfig
-	GridResult = sim.GridResult
 
 	// BoundsConfig / BoundsResult: §2.1 loose-vs-rigid QoS quantified.
 	BoundsConfig = sim.BoundsConfig
@@ -90,29 +82,17 @@ var (
 	RunFigure6Sweep      = sim.RunFigure6Sweep
 	RunTable2            = sim.RunTable2
 	RunTheorem1          = sim.RunTheorem1
-	RunCampus            = sim.RunCampus
-	RunCampusComparison  = sim.RunCampusComparison
-	// RunCampusTrace is RunCampus plus the run's full JSONL event trace
-	// (one control-plane event per line, stamped with time and sequence).
-	RunCampusTrace = sim.RunCampusTrace
-	// RunCampusObs is RunCampus with the observability layer armed: it
-	// additionally returns the run's deterministic instrument snapshot.
-	RunCampusObs = sim.RunCampusObs
-	// RunCampusObsSweep replicates the observed campus scenario under
-	// derived seeds and merges the snapshots in replication order; the
-	// merged snapshot is identical at any worker count.
-	RunCampusObsSweep = sim.RunCampusObsSweep
-	// RunArena / RunArenaSweep run the strategy roster (serially / over a
-	// worker pool); RenderArena renders the stable comparative table and
-	// DefaultArenaPairs is the built-in roster.
-	RunArena          = sim.RunArena
-	RunArenaSweep     = sim.RunArenaSweep
-	RenderArena       = sim.RenderArena
-	DefaultArenaPairs = sim.DefaultArenaPairs
-	RunTthSensitivity = sim.RunTthSensitivity
-	RunGrid           = sim.RunGrid
-	RunBounds         = sim.RunBounds
-	RunCorridor       = sim.RunCorridor
+	// RunScenarios runs a scenario list over a worker pool; results and
+	// trace/span bytes are identical at any worker count (workers <= 0
+	// selects GOMAXPROCS). RunCampus and RunGrid run one scenario on the
+	// campus wing or a grid building; RenderArena renders a roster's
+	// results as the stable comparative table.
+	RunScenarios = sim.Run
+	RunCampus    = sim.RunCampus
+	RunGrid      = sim.RunGrid
+	RenderArena  = sim.RenderArena
+	RunBounds    = sim.RunBounds
+	RunCorridor  = sim.RunCorridor
 	// ErlangB is the analytic blocking formula used to validate the
 	// Figure 6 simulator.
 	ErlangB = sim.ErlangB
@@ -121,10 +101,7 @@ var (
 	// worker pool with deterministic replication — the same seed yields
 	// bit-identical results at any worker count (workers <= 0 selects
 	// GOMAXPROCS).
-	RunCampusComparisonParallel = sim.RunCampusComparisonParallel
-	RunTthSensitivityParallel   = sim.RunTthSensitivityParallel
-	RunGridSweep                = sim.RunGridSweep
-	RunTheorem1Parallel         = sim.RunTheorem1Parallel
+	RunTheorem1Parallel = sim.RunTheorem1Parallel
 	// SplitSeed derives decorrelated per-trial seeds from a master seed;
 	// TrialSeeds returns the first n of them (trial 0 keeps the master).
 	SplitSeed  = runner.SplitSeed

@@ -2,7 +2,6 @@ package netfaults
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -70,19 +69,19 @@ func TestPlanStringRoundTrip(t *testing.T) {
 
 func TestParsePlanErrors(t *testing.T) {
 	for _, spec := range []string{
-		"drop signal 1.5",              // prob out of range
-		"drop tcp 0.5",                 // unknown proto
-		"wobble any 0.5",               // unknown directive
-		"delay signal 0.5",             // missing seconds
-		"reorder signal 0.5 -1",        // negative duration
-		"at -1 partition east for 2",   // negative time
-		"at 1 partition east",          // partition without for
-		"at 1 explode east",            // unknown action
-		"at 1 crash east for 0",        // non-positive duration
-		"at 1 crash east maybe",        // trailing garbage
-		"drop signal nope",             // bad float
-		"delay signal 0.5 1e400",       // non-finite
-		"drop signal 0.5 on",           // dangling filter keyword
+		"drop signal 1.5",            // prob out of range
+		"drop tcp 0.5",               // unknown proto
+		"wobble any 0.5",             // unknown directive
+		"delay signal 0.5",           // missing seconds
+		"reorder signal 0.5 -1",      // negative duration
+		"at -1 partition east for 2", // negative time
+		"at 1 partition east",        // partition without for
+		"at 1 explode east",          // unknown action
+		"at 1 crash east for 0",      // non-positive duration
+		"at 1 crash east maybe",      // trailing garbage
+		"drop signal nope",           // bad float
+		"delay signal 0.5 1e400",     // non-finite
+		"drop signal 0.5 on",         // dangling filter keyword
 	} {
 		if _, err := ParsePlanString(spec); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", spec)
@@ -98,30 +97,6 @@ func TestEmptyPlan(t *testing.T) {
 	p := mustParse(t, "# only comments\n\n")
 	if !p.Empty() {
 		t.Error("comment-only plan not empty")
-	}
-}
-
-// TestSimPlanProjection pins the shared-grammar bridge: drop/dup/delay
-// rules project into internal/faults rules; reorder and link-filtered
-// rules are wire-only and are skipped.
-func TestSimPlanProjection(t *testing.T) {
-	p := mustParse(t, samplePlan)
-	sp := p.SimPlan()
-	if len(sp.Messages) != 3 {
-		t.Fatalf("projected %d rules, want 3: %+v", len(sp.Messages), sp.Messages)
-	}
-	for i, want := range []string{"drop", "dup", "delay"} {
-		if sp.Messages[i].Action != want {
-			t.Errorf("rule %d action = %q, want %q", i, sp.Messages[i].Action, want)
-		}
-	}
-	if len(sp.Timed) != 0 {
-		t.Errorf("node faults leaked into sim plan: %+v", sp.Timed)
-	}
-	// The projection must itself parse under the internal/faults grammar
-	// (the "one plan file drives both" contract).
-	if s := sp.String(); !strings.Contains(s, "drop any 0.2") {
-		t.Errorf("projected plan renders %q", s)
 	}
 }
 

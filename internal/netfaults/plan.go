@@ -2,9 +2,7 @@
 // transports: where internal/faults perturbs the *simulated* control
 // plane through the protocol delivery hooks, netfaults perturbs the
 // *wire* — the encoded frames the testnet transports carry between the
-// controller and its node agents. The two packages share one rule
-// philosophy and (for the message rules) one grammar, so a single plan
-// file can drive a simulation chaos run and a live testnet soak.
+// controller and its node agents.
 //
 // A plan has two parts:
 //
@@ -19,12 +17,6 @@
 //     scheduled by the harness on its scenario clock, so the same plan
 //     runs on the simulator clock (deterministic loopback) and on wall
 //     time (UDP).
-//
-// The drop/dup/delay message rules are exactly internal/faults rules;
-// SimPlan projects them back into a *faults.Plan so the simulation can
-// run the same file. Reorder and link-filtered rules have no simulation
-// counterpart (the pure simulation has no link-addressable transport)
-// and are skipped by the projection.
 package netfaults
 
 import (
@@ -34,8 +26,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"armnet/internal/faults"
 )
 
 // Rule is one probabilistic per-frame fault.
@@ -111,26 +101,6 @@ func (p *Plan) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SimPlan projects the plan's message rules into an internal/faults
-// plan, so the same file drives a pure-simulation chaos run. Reorder
-// rules and link-filtered rules are wire-only and are dropped; node
-// faults have no protocol-hook equivalent and are dropped too.
-func (p *Plan) SimPlan() *faults.Plan {
-	out := &faults.Plan{}
-	if p == nil {
-		return out
-	}
-	for _, r := range p.Rules {
-		if r.Action == "reorder" || r.Link != "" {
-			continue
-		}
-		out.Messages = append(out.Messages, faults.MsgRule{
-			Proto: r.Proto, Action: r.Action, Prob: r.Prob, Delay: r.Delay,
-		})
-	}
-	return out
 }
 
 // ParsePlan reads the line-oriented plan grammar:

@@ -5,6 +5,7 @@ import (
 
 	"armnet/internal/predict"
 	"armnet/internal/profile"
+	"armnet/internal/sortx"
 	"armnet/internal/topology"
 )
 
@@ -127,11 +128,12 @@ type LoungePlan struct {
 }
 
 // Total returns the plan's aggregate reservation in bits/s: the self
-// amount plus every neighbor hold.
+// amount plus every neighbor hold, summed in cell-ID order so the float
+// result is identical run to run.
 func (p LoungePlan) Total() float64 {
 	t := p.Self
-	for _, v := range p.Neighbor {
-		t += v
+	for _, id := range sortx.Keys(p.Neighbor) {
+		t += p.Neighbor[id]
 	}
 	return t
 }

@@ -443,3 +443,17 @@ func TestQuickMeetingPolicyBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLoungePlanTotalOrderIndependent: the aggregate reservation is a
+// float sum over a map, so it must be summed in a fixed order — the
+// policy-reservation event carries it and traces are byte-pinned.
+func TestLoungePlanTotalOrderIndependent(t *testing.T) {
+	a, b, c, d := 0.1, 0.2, 0.3, 1e-17
+	p := LoungePlan{Neighbor: map[topology.CellID]float64{"a": a, "b": b, "c": c, "d": d}}
+	want := a + b + c + d
+	for i := 0; i < 100; i++ {
+		if got := p.Total(); got != want {
+			t.Fatalf("Total() = %v, want the cell-ID-order sum %v", got, want)
+		}
+	}
+}

@@ -2,12 +2,9 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 
-	"armnet/internal/core"
 	"armnet/internal/obs"
-	"armnet/internal/runner"
 	"armnet/internal/strategy"
 )
 
@@ -30,114 +27,54 @@ func (p StrategyPair) Label() string {
 	return a + "+" + d
 }
 
-// DefaultArenaPairs is the fixed head-to-head roster: the paper's own
+// defaultArenaPairs is the fixed head-to-head roster: the paper's own
 // pair, each rival swapped in alone, and both rivals together.
-func DefaultArenaPairs() []StrategyPair {
-	return []StrategyPair{
-		{Allocator: "maxmin", Admitter: "table2"},
-		{Allocator: "erica", Admitter: "table2"},
-		{Allocator: "logweight", Admitter: "table2"},
-		{Allocator: "maxmin", Admitter: "measured"},
-		{Allocator: "erica", Admitter: "measured"},
-	}
+var defaultArenaPairs = []StrategyPair{
+	{Allocator: "maxmin", Admitter: "table2"},
+	{Allocator: "erica", Admitter: "table2"},
+	{Allocator: "logweight", Admitter: "table2"},
+	{Allocator: "maxmin", Admitter: "measured"},
+	{Allocator: "erica", Admitter: "measured"},
 }
 
-// ArenaConfig drives the head-to-head strategy comparison: every
-// registered pair runs the *identical* campus workload — same seed, same
-// mobility trace, same QoS demands (the workload RNGs never see the
-// strategy choice) — so outcome differences are attributable to the
-// strategies alone.
-type ArenaConfig struct {
-	// Seed drives every trial; all pairs share it.
-	Seed int64
-	// Portables / Duration / Dwell / Mode / BMin / BMax / Tth mirror
-	// CampusConfig.
-	Portables int
-	Duration  float64
-	Dwell     float64
-	Mode      core.ReservationMode
-	BMin      float64
-	BMax      float64
-	Tth       float64
-	// Pairs is the roster; nil selects DefaultArenaPairs.
-	Pairs []StrategyPair
-}
-
-// ArenaEntry is one strategy pair's outcome over the shared workload.
-type ArenaEntry struct {
-	Pair StrategyPair
-	CampusResult
-	// Summary digests the pair's obs instruments (setup latency,
-	// handoff interruption, adaptation intensity).
-	Summary obs.Summary
-	// Control is the allocator's control-plane work — the overhead side
-	// of the comparison.
-	Control strategy.ControlStats
-	// Utilization is the mean committed downlink utilization at the end
-	// of the run.
-	Utilization float64
-}
-
-// RunArena runs every pair sequentially and returns entries in roster
-// order.
-func RunArena(cfg ArenaConfig) ([]ArenaEntry, error) {
-	out, _, err := RunArenaSweep(context.Background(), cfg, 1)
-	return out, err
-}
-
-// RunArenaSweep fans the roster over a worker pool. Each trial is fully
-// self-contained (own simulator, environment, RNGs), so entries are
-// identical at any worker count and arrive in roster order.
-func RunArenaSweep(ctx context.Context, cfg ArenaConfig, workers int) ([]ArenaEntry, runner.Stats, error) {
-	pairs := cfg.Pairs
+// Roster returns s under each strategy pair (nil selects the default
+// roster: the paper's pair, each rival alone, and both rivals together),
+// with Obs armed for the arena's summary columns. Every entry runs the
+// *identical* workload — the workload RNGs never see the strategy
+// choice — so outcome differences are attributable to the strategies
+// alone.
+func (s Scenario) Roster(pairs []StrategyPair) []Scenario {
 	if len(pairs) == 0 {
-		pairs = DefaultArenaPairs()
+		pairs = defaultArenaPairs
 	}
-	return runner.Map(ctx, workers, len(pairs), func(_ context.Context, i int) (ArenaEntry, error) {
-		c := CampusConfig{
-			Seed: cfg.Seed, Portables: cfg.Portables, Duration: cfg.Duration,
-			Dwell: cfg.Dwell, Mode: cfg.Mode, BMin: cfg.BMin, BMax: cfg.BMax,
-			Tth: cfg.Tth,
-			Allocator: pairs[i].Allocator, Admitter: pairs[i].Admitter,
-			Obs: true,
-		}
-		res, snap, probe, err := runCampus(c, nil)
-		if err != nil {
-			return ArenaEntry{}, fmt.Errorf("arena %s: %w", pairs[i].Label(), err)
-		}
-		e := ArenaEntry{
-			Pair:         pairs[i],
-			CampusResult: res,
-			Control:      probe.control,
-			Utilization:  probe.util,
-		}
-		if snap != nil {
-			e.Summary = snap.Summary()
-		}
-		return e, nil
-	})
+	s.Obs = true
+	return vary(s, pairs, func(c *Scenario, p StrategyPair) { c.Pair = p })
 }
 
-// RenderArena renders the comparative snapshot as a stable text table —
-// one row per pair, fixed column order, %.6g floats — suitable for
-// golden pinning.
-func RenderArena(cfg ArenaConfig, entries []ArenaEntry) []byte {
+// RenderArena renders a roster's results as a stable text table — one
+// row per pair, fixed column order, %.6g floats — suitable for golden
+// pinning. The header describes the roster's shared workload.
+func RenderArena(roster []Scenario, results []Result) []byte {
+	if len(roster) == 0 {
+		return nil
+	}
 	var b bytes.Buffer
-	cc := CampusConfig{
-		Seed: cfg.Seed, Portables: cfg.Portables, Duration: cfg.Duration,
-		Dwell: cfg.Dwell, BMin: cfg.BMin, BMax: cfg.BMax,
-	}.withDefaults()
+	s := roster[0].withDefaults()
 	fmt.Fprintf(&b, "arena seed=%d portables=%d duration=%gs dwell=%gs mode=%s bmin=%g bmax=%g pairs=%d\n",
-		cfg.Seed, cc.Portables, cc.Duration, cc.Dwell, cfg.Mode, cc.BMin, cc.BMax, len(entries))
+		s.Seed, s.Portables, s.Duration, s.Dwell, s.Mode, s.BMin, s.BMax, len(results))
 	fmt.Fprintf(&b, "%-16s %9s %9s %9s %9s %10s %10s %9s %9s %9s %7s\n",
 		"pair", "util", "drop", "block", "availability",
 		"interr-p50", "interr-p99", "adapt/conn", "sessions", "messages", "retrans")
-	for _, e := range entries {
+	for i, r := range results {
+		var sum obs.Summary
+		if r.Snapshot != nil {
+			sum = r.Snapshot.Summary()
+		}
 		fmt.Fprintf(&b, "%-16s %9.6f %9.6f %9.6f %12.6f %10.6f %10.6f %10.4f %9d %9d %7d\n",
-			e.Pair.Label(), e.Utilization, e.DropRate, e.BlockRate,
-			e.Summary.Availability, e.Summary.InterruptP50, e.Summary.InterruptP99,
-			e.Summary.MeanAdaptation, e.Control.Sessions, e.Control.Messages,
-			e.Control.Retransmits)
+			roster[i].Pair.Label(), r.Utilization, r.DropRate, r.BlockRate,
+			sum.Availability, sum.InterruptP50, sum.InterruptP99,
+			sum.MeanAdaptation, r.Control.Sessions, r.Control.Messages,
+			r.Control.Retransmits)
 	}
 	return b.Bytes()
 }

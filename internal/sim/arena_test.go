@@ -15,36 +15,16 @@ var updateArena = flag.Bool("update-arena", false, "rewrite the arena snapshot g
 // The demand bounds load the wireless cells hard enough that the
 // admitters genuinely disagree (blocking vs handoff drops) — a lighter
 // workload renders every pair identical and the comparison is vacuous.
-var arenaGoldenCfg = ArenaConfig{Seed: 1, Portables: 24, Duration: 900, BMin: 256e3, BMax: 1.2e6}
+var arenaGoldenCfg = Scenario{Seed: 1, Portables: 24, Duration: 900, BMin: 256e3, BMax: 1.2e6}
 
-// TestArenaTraceDeterminismAcrossWorkers: the rendered comparative
-// snapshot must be byte-identical whether the roster runs serially or
-// fanned across a worker pool — every trial is self-contained, and the
-// runner returns entries in roster order. (The name matches the
-// `make trace-determinism` gate's -run pattern, so this joins the ci
-// replication check automatically.)
-func TestArenaTraceDeterminismAcrossWorkers(t *testing.T) {
-	entries, err := RunArena(arenaGoldenCfg)
+// runArena runs a roster serially.
+func runArena(t *testing.T, roster []Scenario) []Result {
+	t.Helper()
+	rs, _, err := Run(context.Background(), roster, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) < 3 {
-		t.Fatalf("arena ran %d pairs, want >= 3", len(entries))
-	}
-	serial := RenderArena(arenaGoldenCfg, entries)
-	for _, workers := range []int{2, 8} {
-		got, st, err := RunArenaSweep(context.Background(), arenaGoldenCfg, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if st.Failed != 0 {
-			t.Fatalf("workers=%d: unexpected stats %+v", workers, st)
-		}
-		if rendered := RenderArena(arenaGoldenCfg, got); !bytes.Equal(rendered, serial) {
-			t.Fatalf("workers=%d: arena snapshot diverged from serial:\n%s\nvs\n%s",
-				workers, rendered, serial)
-		}
-	}
+	return rs
 }
 
 // TestArenaSnapshotGolden pins the seed-1 arena comparative snapshot.
@@ -52,11 +32,8 @@ func TestArenaTraceDeterminismAcrossWorkers(t *testing.T) {
 // changed — regenerate deliberately with
 // `go test ./internal/sim -run TestArenaSnapshotGolden -update-arena`.
 func TestArenaSnapshotGolden(t *testing.T) {
-	entries, err := RunArena(arenaGoldenCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rendered := RenderArena(arenaGoldenCfg, entries)
+	roster := arenaGoldenCfg.Roster(nil)
+	rendered := RenderArena(roster, runArena(t, roster))
 	path := filepath.Join("testdata", "arenasnapshot.golden")
 	if *updateArena {
 		if err := os.WriteFile(path, rendered, 0o644); err != nil {
@@ -76,19 +53,12 @@ func TestArenaSnapshotGolden(t *testing.T) {
 // reproduce the plain campus run exactly — the seam and the obs arming
 // change nothing about the simulation.
 func TestArenaDefaultPairMatchesCampus(t *testing.T) {
-	cfg := arenaGoldenCfg
-	cfg.Pairs = []StrategyPair{{}} // empty names = paper defaults
-	entries, err := RunArena(cfg)
-	if err != nil {
-		t.Fatal(err)
+	roster := arenaGoldenCfg.Roster([]StrategyPair{{}}) // empty names = paper defaults
+	entries := runArena(t, roster)
+	if roster[0].Pair.Label() != "maxmin+table2" {
+		t.Fatalf("default pair label = %q", roster[0].Pair.Label())
 	}
-	if entries[0].Pair.Label() != "maxmin+table2" {
-		t.Fatalf("default pair label = %q", entries[0].Pair.Label())
-	}
-	plain, err := RunCampus(CampusConfig{
-		Seed: cfg.Seed, Portables: cfg.Portables, Duration: cfg.Duration,
-		BMin: cfg.BMin, BMax: cfg.BMax,
-	})
+	plain, err := RunCampus(arenaGoldenCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +72,10 @@ func TestArenaDefaultPairMatchesCampus(t *testing.T) {
 // strategies — rival allocators report control work and the rival
 // admitter changes admission outcomes relative to Table 2.
 func TestArenaRivalStrategiesRun(t *testing.T) {
-	entries, err := RunArena(arenaGoldenCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byLabel := map[string]ArenaEntry{}
-	for _, e := range entries {
-		byLabel[e.Pair.Label()] = e
+	roster := arenaGoldenCfg.Roster(nil)
+	byLabel := map[string]Result{}
+	for i, e := range runArena(t, roster) {
+		byLabel[roster[i].Pair.Label()] = e
 	}
 	for _, label := range []string{"maxmin+table2", "erica+table2", "maxmin+measured", "erica+measured"} {
 		e, ok := byLabel[label]

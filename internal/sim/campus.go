@@ -1,81 +1,17 @@
 package sim
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"io"
 
 	"armnet/internal/admission"
 	"armnet/internal/core"
-	"armnet/internal/des"
 	"armnet/internal/eventbus"
-	"armnet/internal/mobility"
-	"armnet/internal/obs"
 	"armnet/internal/predict"
 	"armnet/internal/profile"
-	"armnet/internal/qos"
 	"armnet/internal/randx"
-	"armnet/internal/runner"
 	"armnet/internal/stats"
-	"armnet/internal/strategy"
 	"armnet/internal/topology"
 )
-
-// CampusConfig drives the integrated campus scenario: random-walking
-// portables carrying QoS-bounded connections through the full resource
-// manager under a chosen reservation mode.
-type CampusConfig struct {
-	// Seed drives the run's randomness. Every value is a valid, distinct
-	// seed — including 0, the zero-value default (seeds 0 and 1 used to
-	// alias; they no longer do).
-	Seed int64
-	// Portables is the population size (default 24).
-	Portables int
-	// Duration is the simulated time in seconds (default 3600).
-	Duration float64
-	// Dwell is the mean cell dwell time (default 180 s).
-	Dwell float64
-	// Mode selects the advance-reservation strategy.
-	Mode core.ReservationMode
-	// BMin/BMax are the per-connection bandwidth bounds (defaults
-	// 32k/128k).
-	BMin, BMax float64
-	// Tth overrides the static/mobile threshold (0 = manager default).
-	Tth float64
-	// Allocator and Admitter name the registered resource-management
-	// strategies (core.Config passthrough); empty selects the paper's
-	// defaults (maxmin, table2).
-	Allocator, Admitter string
-	// Obs arms the observability layer: the run returns a deterministic
-	// instrument snapshot alongside its result. Off by default — the
-	// disabled path constructs nothing and perturbs nothing, so traces
-	// stay byte-identical either way.
-	Obs bool
-	// Spans receives the JSONL lifecycle-span export when Obs is set.
-	// Single-run only: sweeps run trials concurrently, so give each trial
-	// its own writer (or leave nil).
-	Spans io.Writer
-}
-
-func (c CampusConfig) withDefaults() CampusConfig {
-	if c.Portables <= 0 {
-		c.Portables = 24
-	}
-	if c.Duration <= 0 {
-		c.Duration = 3600
-	}
-	if c.Dwell <= 0 {
-		c.Dwell = 180
-	}
-	if c.BMin <= 0 {
-		c.BMin = 32e3
-	}
-	if c.BMax <= 0 {
-		c.BMax = 128e3
-	}
-	return c
-}
 
 // CampusResult summarizes one integrated run.
 type CampusResult struct {
@@ -170,106 +106,6 @@ func (c *campusCollector) result(mode core.ReservationMode) CampusResult {
 	return res
 }
 
-// RunCampus executes the integrated scenario and returns its metrics.
-func RunCampus(cfg CampusConfig) (CampusResult, error) {
-	res, _, _, err := runCampus(cfg, nil)
-	return res, err
-}
-
-// RunCampusTrace is RunCampus with a JSONL event trace of the full run:
-// every control-plane event, one line each, stamped with (time, seq).
-// The trace is byte-identical for a given config at any worker count.
-func RunCampusTrace(cfg CampusConfig) (CampusResult, []byte, error) {
-	var buf bytes.Buffer
-	res, _, _, err := runCampus(cfg, &buf)
-	return res, buf.Bytes(), err
-}
-
-// RunCampusObs runs the scenario with the observability layer armed and
-// returns the deterministic instrument snapshot alongside the metrics.
-func RunCampusObs(cfg CampusConfig) (CampusResult, *obs.Snapshot, error) {
-	cfg.Obs = true
-	res, snap, _, err := runCampus(cfg, nil)
-	return res, snap, err
-}
-
-// campusProbe carries end-of-run readings the arena compares across
-// strategy pairs but the plain campus results never exposed: the
-// allocator's control-plane work and the final committed utilization.
-type campusProbe struct {
-	control strategy.ControlStats
-	// util is the mean committed downlink utilization over all cells at
-	// the end of the run — (ΣMin + advance) / capacity, the same ratio
-	// the overload controller escalates on.
-	util float64
-}
-
-func runCampus(cfg CampusConfig, traceW io.Writer) (CampusResult, *obs.Snapshot, campusProbe, error) {
-	cfg = cfg.withDefaults()
-	env, err := topology.BuildCampus()
-	if err != nil {
-		return CampusResult{}, nil, campusProbe{}, err
-	}
-	simulator := des.New()
-	coreCfg := core.Config{
-		Seed: cfg.Seed, Mode: cfg.Mode, Tth: cfg.Tth,
-		Allocator: cfg.Allocator, Admitter: cfg.Admitter,
-	}
-	if cfg.Obs {
-		coreCfg.Obs = &obs.Options{Spans: cfg.Spans}
-	}
-	mgr, err := core.NewManager(simulator, env, coreCfg)
-	if err != nil {
-		return CampusResult{}, nil, campusProbe{}, err
-	}
-	col := newCampusCollector(mgr.Bus)
-	var rec *eventbus.Recorder
-	if traceW != nil {
-		rec = eventbus.AttachRecorder(mgr.Bus, traceW)
-	}
-	names := make([]string, cfg.Portables)
-	for i := range names {
-		names[i] = fmt.Sprintf("p%02d", i)
-	}
-	trace, err := mobility.RandomWalk(env.Universe, names, cfg.Dwell, cfg.Duration, randx.New(cfg.Seed+1))
-	if err != nil {
-		return CampusResult{}, nil, campusProbe{}, err
-	}
-	req := qos.Request{
-		Bandwidth: qos.Bounds{Min: cfg.BMin, Max: cfg.BMax},
-		Delay:     5, Jitter: 5, Loss: 0.05,
-		Traffic: qos.TrafficSpec{Sigma: cfg.BMin / 4, Rho: cfg.BMin},
-	}
-	trace.Schedule(simulator, func(mv mobility.Move) {
-		if mv.From == "" {
-			if err := mgr.PlacePortable(mv.Portable, mv.To); err == nil {
-				_, _ = mgr.OpenConnection(mv.Portable, req)
-			}
-			return
-		}
-		_ = mgr.HandoffPortable(mv.Portable, mv.To)
-	})
-	if err := simulator.RunUntil(cfg.Duration); err != nil {
-		return CampusResult{}, nil, campusProbe{}, err
-	}
-	if rec != nil && rec.Err() != nil {
-		return CampusResult{}, nil, campusProbe{}, rec.Err()
-	}
-	var snap *obs.Snapshot
-	if mgr.Obs != nil {
-		mgr.Obs.Finish(cfg.Duration)
-		if err := mgr.Obs.SpanErr(); err != nil {
-			return CampusResult{}, nil, campusProbe{}, err
-		}
-		snap = mgr.Obs.Snapshot()
-	}
-	probe := campusProbe{util: meanDownlinkUtil(env, mgr.Ledger())}
-	if mgr.Adpt != nil {
-		probe.control = mgr.Adpt.Alloc.Stats()
-	}
-	return col.result(cfg.Mode), snap, probe, nil
-}
-
 // meanDownlinkUtil averages the committed utilization of every cell's
 // wireless downlink. Universe.Cells is sorted, so the float sum is
 // stable run to run.
@@ -292,214 +128,6 @@ func meanDownlinkUtil(env *topology.Environment, lg *admission.Ledger) float64 {
 		return 0
 	}
 	return total / float64(n)
-}
-
-// RunCampusObsSweep runs `replications` independent observed campus trials
-// with per-replication seeds derived from cfg.Seed (replication 0 keeps
-// cfg.Seed) and merges their snapshots in replication order. Because each
-// trial is deterministic and the merge order is fixed, the merged snapshot
-// is byte-identical at any worker count.
-func RunCampusObsSweep(ctx context.Context, cfg CampusConfig, replications, workers int) ([]CampusResult, *obs.Snapshot, error) {
-	if replications <= 0 {
-		replications = 1
-	}
-	cfg.Obs = true
-	cfg.Spans = nil // a shared writer would race across concurrent trials
-	seeds := runner.Seeds(cfg.Seed, replications)
-	type trial struct {
-		res  CampusResult
-		snap *obs.Snapshot
-	}
-	trials, _, err := runner.Map(ctx, workers, replications, func(_ context.Context, i int) (trial, error) {
-		c := cfg
-		c.Seed = seeds[i]
-		res, snap, _, err := runCampus(c, nil)
-		return trial{res: res, snap: snap}, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	results := make([]CampusResult, len(trials))
-	snaps := make([]*obs.Snapshot, len(trials))
-	for i, tr := range trials {
-		results[i] = tr.res
-		snaps[i] = tr.snap
-	}
-	merged, err := obs.MergeAll(snaps)
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, merged, nil
-}
-
-// TthPoint is one sample of the T_th sensitivity sweep.
-type TthPoint struct {
-	Tth float64
-	CampusResult
-}
-
-// RunTthSensitivity sweeps the static/mobile threshold (DESIGN.md's T_th
-// ablation): small T_th flips portables static quickly (fewer advance
-// reservations, more unpredicted handoffs on re-moves); large T_th keeps
-// everyone mobile (maximum reservations).
-func RunTthSensitivity(cfg CampusConfig, thresholds []float64) ([]TthPoint, error) {
-	out, _, err := RunTthSensitivityParallel(context.Background(), cfg, thresholds, 1)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunTthSensitivityParallel is RunTthSensitivity fanned across a worker
-// pool: each threshold is an independent trial (every RunCampus builds its
-// own simulator, environment, and RNGs from cfg.Seed), so the points are
-// identical at any worker count.
-func RunTthSensitivityParallel(ctx context.Context, cfg CampusConfig, thresholds []float64, workers int) ([]TthPoint, runner.Stats, error) {
-	if len(thresholds) == 0 {
-		thresholds = []float64{30, 120, 300, 900}
-	}
-	return runner.Map(ctx, workers, len(thresholds), func(_ context.Context, i int) (TthPoint, error) {
-		c := cfg
-		c.Tth = thresholds[i]
-		r, err := RunCampus(c)
-		if err != nil {
-			return TthPoint{}, err
-		}
-		return TthPoint{Tth: thresholds[i], CampusResult: r}, nil
-	})
-}
-
-// campusModes is the fixed mode order of the comparison experiment.
-var campusModes = []core.ReservationMode{core.ModePredictive, core.ModeBruteForce, core.ModeNone}
-
-// RunCampusComparison runs the scenario under all three reservation modes
-// with the same seed and mobility.
-func RunCampusComparison(cfg CampusConfig) ([]CampusResult, error) {
-	out, _, err := RunCampusComparisonParallel(context.Background(), cfg, 1)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunCampusComparisonParallel runs the three reservation modes as
-// independent trials on a worker pool. Results arrive in the fixed mode
-// order (predictive, brute-force, none) regardless of worker count.
-func RunCampusComparisonParallel(ctx context.Context, cfg CampusConfig, workers int) ([]CampusResult, runner.Stats, error) {
-	return runner.Map(ctx, workers, len(campusModes), func(_ context.Context, i int) (CampusResult, error) {
-		c := cfg
-		c.Mode = campusModes[i]
-		return RunCampus(c)
-	})
-}
-
-// GridConfig drives the scale scenario: a rows×cols office building with
-// a large random-walking population, exercising the integrated manager
-// well beyond the paper's seven-cell wing.
-type GridConfig struct {
-	// Seed drives the run's randomness; every value is valid and
-	// distinct, including the zero-value 0.
-	Seed       int64
-	Rows, Cols int
-	Portables  int
-	Duration   float64
-	Dwell      float64
-	Mode       core.ReservationMode
-}
-
-func (c GridConfig) withDefaults() GridConfig {
-	if c.Rows <= 0 {
-		c.Rows = 4
-	}
-	if c.Cols <= 1 {
-		c.Cols = 6
-	}
-	if c.Portables <= 0 {
-		c.Portables = 80
-	}
-	if c.Duration <= 0 {
-		c.Duration = 1800
-	}
-	if c.Dwell <= 0 {
-		c.Dwell = 150
-	}
-	return c
-}
-
-// GridResult summarizes a scale run.
-type GridResult struct {
-	CampusResult
-	Cells  int
-	Events uint64
-}
-
-// RunGrid executes the scale scenario.
-func RunGrid(cfg GridConfig) (GridResult, error) {
-	rs, _, err := RunGridSweep(context.Background(), cfg, 1, 1)
-	if err != nil {
-		return GridResult{}, err
-	}
-	return rs[0], nil
-}
-
-// RunGridSweep runs `replications` independent grid scenarios with
-// per-replication seeds derived from cfg.Seed by runner.SplitSeed
-// (replication 0 keeps cfg.Seed, so a one-replication sweep reproduces
-// RunGrid exactly) and returns the results in replication order.
-func RunGridSweep(ctx context.Context, cfg GridConfig, replications, workers int) ([]GridResult, runner.Stats, error) {
-	if replications <= 0 {
-		replications = 1
-	}
-	cfg = cfg.withDefaults()
-	seeds := runner.Seeds(cfg.Seed, replications)
-	return runner.Map(ctx, workers, replications, func(_ context.Context, i int) (GridResult, error) {
-		c := cfg
-		c.Seed = seeds[i]
-		return runGridOnce(c)
-	})
-}
-
-// runGridOnce is one self-contained grid trial: it builds its own
-// environment, simulator and manager, so concurrent trials share nothing.
-func runGridOnce(cfg GridConfig) (GridResult, error) {
-	cfg = cfg.withDefaults()
-	env, err := topology.BuildGrid(cfg.Rows, cfg.Cols, 1.6e6)
-	if err != nil {
-		return GridResult{}, err
-	}
-	simulator := des.New()
-	mgr, err := core.NewManager(simulator, env, core.Config{Seed: cfg.Seed, Mode: cfg.Mode})
-	if err != nil {
-		return GridResult{}, err
-	}
-	col := newCampusCollector(mgr.Bus)
-	names := make([]string, cfg.Portables)
-	for i := range names {
-		names[i] = fmt.Sprintf("p%03d", i)
-	}
-	trace, err := mobility.RandomWalk(env.Universe, names, cfg.Dwell, cfg.Duration, randx.New(cfg.Seed+1))
-	if err != nil {
-		return GridResult{}, err
-	}
-	req := qos.Request{
-		Bandwidth: qos.Bounds{Min: 32e3, Max: 128e3},
-		Delay:     5, Jitter: 5, Loss: 0.05,
-		Traffic: qos.TrafficSpec{Sigma: 8e3, Rho: 32e3},
-	}
-	trace.Schedule(simulator, func(mv mobility.Move) {
-		if mv.From == "" {
-			if err := mgr.PlacePortable(mv.Portable, mv.To); err == nil {
-				_, _ = mgr.OpenConnection(mv.Portable, req)
-			}
-			return
-		}
-		_ = mgr.HandoffPortable(mv.Portable, mv.To)
-	})
-	if err := simulator.RunUntil(cfg.Duration); err != nil {
-		return GridResult{}, err
-	}
-	res := GridResult{CampusResult: col.result(cfg.Mode), Cells: env.Universe.Len(), Events: simulator.Fired()}
-	return res, nil
 }
 
 // CorridorResult reports the §6.1 linear-movement prediction study.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func TestCampusComparison(t *testing.T) {
-	results, err := RunCampusComparison(CampusConfig{Seed: 3, Portables: 20, Duration: 1200})
+	results, _, err := Run(context.Background(), Scenario{Seed: 3, Portables: 20, Duration: 1200}.Modes(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +19,7 @@ func TestCampusComparison(t *testing.T) {
 	}
 	byMode := map[core.ReservationMode]CampusResult{}
 	for _, r := range results {
-		byMode[r.Mode] = r
+		byMode[r.Mode] = r.CampusResult
 		if r.Handoffs < 50 {
 			t.Fatalf("mode %s: only %d handoffs", r.Mode, r.Handoffs)
 		}

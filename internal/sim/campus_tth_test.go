@@ -1,9 +1,13 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"strings"
+	"testing"
+)
 
 func TestTthSensitivity(t *testing.T) {
-	points, err := RunTthSensitivity(CampusConfig{Seed: 5, Portables: 16, Duration: 1200, Dwell: 120}, []float64{30, 600})
+	points, _, err := Run(context.Background(), Scenario{Seed: 5, Portables: 16, Duration: 1200, Dwell: 120}.Thresholds([]float64{30, 600}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,15 +27,15 @@ func TestTthSensitivity(t *testing.T) {
 		t.Fatalf("pool claims did not shrink with T_th: %d (30s) vs %d (600s)",
 			small.PoolClaims, large.PoolClaims)
 	}
-	for _, p := range points {
+	for i, p := range points {
 		if p.Handoffs == 0 {
-			t.Fatalf("T_th %v: no handoffs", p.Tth)
+			t.Fatalf("point %d: no handoffs", i)
 		}
 	}
 }
 
 func TestGridScale(t *testing.T) {
-	r, err := RunGrid(GridConfig{Seed: 2, Rows: 4, Cols: 6, Portables: 80, Duration: 1200})
+	r, err := RunGrid(Scenario{Seed: 2, Rows: 4, Cols: 6, Portables: 80, Duration: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +55,15 @@ func TestGridScale(t *testing.T) {
 	// Office occupants returning home make some handoffs predictable.
 	if r.PredictedShare == 0 {
 		t.Fatal("no predicted handoffs in an office building")
+	}
+}
+
+// TestGridRejectsOneColumn: only a zero Cols defaults, so a one-column
+// building reaches topology.BuildGrid and fails there.
+func TestGridRejectsOneColumn(t *testing.T) {
+	_, err := RunGrid(GridConfig{Rows: 2, Cols: 1})
+	if err == nil || !strings.Contains(err.Error(), "cols >= 2") {
+		t.Fatalf("RunGrid(2x1) error = %v, want the BuildGrid cols >= 2 error", err)
 	}
 }
 
@@ -97,18 +110,18 @@ func TestCorridorLinearPrediction(t *testing.T) {
 }
 
 func TestCampusRunsAreDeterministic(t *testing.T) {
-	a, err := RunCampus(CampusConfig{Seed: 17, Portables: 14, Duration: 900})
+	a, err := RunCampus(Scenario{Seed: 17, Portables: 14, Duration: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampus(CampusConfig{Seed: 17, Portables: 14, Duration: 900})
+	b, err := RunCampus(Scenario{Seed: 17, Portables: 14, Duration: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
-	c, err := RunCampus(CampusConfig{Seed: 18, Portables: 14, Duration: 900})
+	c, err := RunCampus(Scenario{Seed: 18, Portables: 14, Duration: 900})
 	if err != nil {
 		t.Fatal(err)
 	}

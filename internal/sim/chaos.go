@@ -1,95 +1,21 @@
 package sim
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
 	"armnet/internal/core"
-	"armnet/internal/des"
-	"armnet/internal/eventbus"
 	"armnet/internal/faults"
 	"armnet/internal/maxmin"
-	"armnet/internal/mobility"
-	"armnet/internal/qos"
-	"armnet/internal/randx"
-	"armnet/internal/runner"
-	"armnet/internal/signal"
-	"armnet/internal/topology"
 )
 
-// ChaosConfig drives the chaos scenario: the campus workload with every
-// connection opened through the signaling plane, a fault plan injecting
-// control-message loss and component crashes, and the recovery
-// invariants audited when the run drains.
-type ChaosConfig struct {
-	// Seed drives the run's randomness; every value is valid and
-	// distinct, including the zero-value 0.
-	Seed int64
-	// Portables is the population size (default 16).
-	Portables int
-	// Duration is the simulated workload time in seconds (default 600).
-	Duration float64
-	// Settle is the drain horizon after the workload stops — leases
-	// expire and re-ADVERTISE repairs drift before the audit (default 60).
-	Settle float64
-	// Dwell is the mean cell dwell time (default 120 s).
-	Dwell float64
-	// LossRate, when positive, adds a `drop any LossRate` rule — the
-	// quick way to make every control protocol lossy.
-	LossRate float64
-	// Plan is a fault-plan spec in the faults.ParsePlan grammar,
-	// composed with the LossRate rule. Empty is valid.
-	Plan string
-	// Mode selects the advance-reservation strategy.
-	Mode core.ReservationMode
-	// BMin/BMax are the per-connection bandwidth bounds (defaults
-	// 32k/128k).
-	BMin, BMax float64
-	// HoldLease bounds how long a crash-orphaned signaling hold may
-	// outlive its session (default 10 s).
-	HoldLease float64
-	// ReadvertisePeriod is the maxmin re-ADVERTISE interval that repairs
-	// allocations corrupted by exhausted retries (default 5 s).
-	ReadvertisePeriod float64
-	// GapTol bounds the audited maxmin-vs-oracle convergence gap in
-	// bits/s (default 1e-6).
-	GapTol float64
-}
-
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.Portables <= 0 {
-		c.Portables = 16
+// plan composes the explicit spec with the LossRate shorthand; a nil
+// part arms no faults.
+func (c *Chaos) plan() (*faults.Plan, error) {
+	if c == nil {
+		return nil, nil
 	}
-	if c.Duration <= 0 {
-		c.Duration = 600
-	}
-	if c.Settle <= 0 {
-		c.Settle = 60
-	}
-	if c.Dwell <= 0 {
-		c.Dwell = 120
-	}
-	if c.BMin <= 0 {
-		c.BMin = 32e3
-	}
-	if c.BMax <= 0 {
-		c.BMax = 128e3
-	}
-	if c.HoldLease <= 0 {
-		c.HoldLease = 10
-	}
-	if c.ReadvertisePeriod <= 0 {
-		c.ReadvertisePeriod = 5
-	}
-	return c
-}
-
-// plan composes the explicit spec with the LossRate shorthand.
-func (c ChaosConfig) plan() (*faults.Plan, error) {
 	p, err := faults.ParsePlan(strings.NewReader(c.Plan))
 	if err != nil {
 		return nil, err
@@ -103,63 +29,10 @@ func (c ChaosConfig) plan() (*faults.Plan, error) {
 	return p, nil
 }
 
-// ChaosResult is one audited chaos run.
-type ChaosResult struct {
-	CampusResult
-	// FaultsInjected counts message faults fired plus component faults
-	// executed (restorations included).
-	FaultsInjected int64
-	// Retransmits counts control messages resent after a loss.
-	Retransmits int64
-	// ReclaimedHolds counts crash-orphaned reservations reclaimed by
-	// lease expiry.
-	ReclaimedHolds int64
-	// ReadvertiseKicks counts connections kicked by the periodic
-	// re-ADVERTISE drift check.
-	ReadvertiseKicks int64
-	// ConvergenceGap is the final max |protocol − water-filling oracle|
-	// rate distance in bits/s.
-	ConvergenceGap float64
-	// Violations lists every recovery-invariant failure the auditor saw
-	// (empty on a clean run).
-	Violations []string
-	// Events is the total discrete events executed.
-	Events uint64
-}
-
-// RunChaos executes one audited chaos scenario.
-func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
-	return runChaos(cfg, nil)
-}
-
-// RunChaosTrace is RunChaos with the full JSONL event trace — faults,
-// retransmissions, reclamations, and invariant violations included. The
-// trace is byte-identical for a given config at any worker count.
-func RunChaosTrace(cfg ChaosConfig) (ChaosResult, []byte, error) {
-	var buf bytes.Buffer
-	res, err := runChaos(cfg, &buf)
-	return res, buf.Bytes(), err
-}
-
-// RunChaosSweep runs `replications` independent chaos trials under
-// runner.Seeds-derived seeds (replication 0 keeps cfg.Seed) fanned over a
-// worker pool. Results arrive in replication order at any worker count.
-func RunChaosSweep(ctx context.Context, cfg ChaosConfig, replications, workers int) ([]ChaosResult, runner.Stats, error) {
-	if replications <= 0 {
-		replications = 1
-	}
-	seeds := runner.Seeds(cfg.Seed, replications)
-	return runner.Map(ctx, workers, replications, func(_ context.Context, i int) (ChaosResult, error) {
-		c := cfg
-		c.Seed = seeds[i]
-		return RunChaos(c)
-	})
-}
-
-// newChaosAuditor wires the fault-recovery auditor (conservation,
-// leaked holds, orphaned allocs, maxmin re-convergence) to a manager's
-// bus — shared by the chaos and overload harnesses.
-func newChaosAuditor(mgr *core.Manager, gapTol float64) *faults.Auditor {
+// newFaultAuditor wires the fault-recovery auditor (conservation, leaked
+// holds, orphaned allocs, maxmin re-convergence within the auditor's
+// default gap tolerance) to a manager's bus.
+func newFaultAuditor(mgr *core.Manager) *faults.Auditor {
 	gap := func() float64 {
 		// Rival allocators have no WaterFill oracle: the maxmin
 		// re-convergence audit only applies to the paper's protocol.
@@ -178,79 +51,7 @@ func newChaosAuditor(mgr *core.Manager, gapTol float64) *faults.Auditor {
 		PendingHolds:   mgr.SignalPlane().PendingTotal,
 		LiveConns:      mgr.ConnIDs,
 		ConvergenceGap: gap,
-		GapTol:         gapTol,
 	}
 	aud.Watch(mgr.Bus)
 	return aud
-}
-
-func runChaos(cfg ChaosConfig, traceW io.Writer) (ChaosResult, error) {
-	cfg = cfg.withDefaults()
-	plan, err := cfg.plan()
-	if err != nil {
-		return ChaosResult{}, err
-	}
-	env, err := topology.BuildCampus()
-	if err != nil {
-		return ChaosResult{}, err
-	}
-	simulator := des.New()
-	mgr, err := core.NewManager(simulator, env, core.Config{
-		Seed:   cfg.Seed,
-		Mode:   cfg.Mode,
-		Faults: plan,
-		Signal: signal.Options{HoldLease: cfg.HoldLease},
-		Proto:  maxmin.ProtocolOptions{ReadvertisePeriod: cfg.ReadvertisePeriod},
-	})
-	if err != nil {
-		return ChaosResult{}, err
-	}
-	col := newCampusCollector(mgr.Bus)
-	aud := newChaosAuditor(mgr, cfg.GapTol)
-	var rec *eventbus.Recorder
-	if traceW != nil {
-		rec = eventbus.AttachRecorder(mgr.Bus, traceW)
-	}
-	names := make([]string, cfg.Portables)
-	for i := range names {
-		names[i] = fmt.Sprintf("p%02d", i)
-	}
-	walk, err := mobility.RandomWalk(env.Universe, names, cfg.Dwell, cfg.Duration, randx.New(cfg.Seed+1))
-	if err != nil {
-		return ChaosResult{}, err
-	}
-	req := qos.Request{
-		Bandwidth: qos.Bounds{Min: cfg.BMin, Max: cfg.BMax},
-		Delay:     5, Jitter: 5, Loss: 0.05,
-		Traffic: qos.TrafficSpec{Sigma: cfg.BMin / 4, Rho: cfg.BMin},
-	}
-	walk.Schedule(simulator, func(mv mobility.Move) {
-		if mv.From == "" {
-			if err := mgr.PlacePortable(mv.Portable, mv.To); err == nil {
-				// Through the signaling plane: setups race the fault plan
-				// hop by hop and surface loss, retransmission, and crashes.
-				_ = mgr.OpenConnectionAsync(mv.Portable, req, func(string, error) {})
-			}
-			return
-		}
-		_ = mgr.HandoffPortable(mv.Portable, mv.To)
-	})
-	if err := simulator.RunUntil(cfg.Duration + cfg.Settle); err != nil {
-		return ChaosResult{}, err
-	}
-	violations := aud.CheckFinal()
-	if rec != nil && rec.Err() != nil {
-		return ChaosResult{}, rec.Err()
-	}
-	ctr := mgr.Met.Counter
-	return ChaosResult{
-		CampusResult:     col.result(cfg.Mode),
-		FaultsInjected:   ctr.Get(core.CtrFaultsInjected),
-		Retransmits:      ctr.Get(core.CtrRetransmits),
-		ReclaimedHolds:   ctr.Get(core.CtrReclaimedHolds),
-		ReadvertiseKicks: ctr.Get(core.CtrReadvertises),
-		ConvergenceGap:   aud.ConvergenceGap(),
-		Violations:       violations,
-		Events:           simulator.Fired(),
-	}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,10 +14,21 @@ var updateChaos = flag.Bool("update-chaos", false, "rewrite the chaos trace gold
 
 // chaosGoldenCfg is the pinned seed-1 chaos scenario: 10% control-message
 // loss, a cell outage mid-run, and a signaling-plane crash.
-var chaosGoldenCfg = ChaosConfig{
+var chaosGoldenCfg = Scenario{
 	Seed: 1, Portables: 8, Duration: 120, Settle: 30,
-	LossRate: 0.1,
-	Plan:     "at 30 cell-out off-2 for 30\nat 80 crash-signaling",
+	Chaos: &Chaos{LossRate: 0.1, Plan: "at 30 cell-out off-2 for 30\nat 80 crash-signaling"},
+}
+
+// runOne runs a single scenario with its trace captured.
+func runOne(t *testing.T, s Scenario) (Result, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	s.Trace = &buf
+	rs, _, err := Run(context.Background(), []Scenario{s}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0], buf.Bytes()
 }
 
 // TestChaosAuditorCleanUnderLoss is the headline recovery claim: at 10%
@@ -29,10 +39,7 @@ var chaosGoldenCfg = ChaosConfig{
 func TestChaosAuditorCleanUnderLoss(t *testing.T) {
 	plan := "at 120 cell-out off-2 for 60\nat 300 crash-zone west\nat 450 crash-signaling"
 	for _, seed := range []int64{1, 2, 3} {
-		res, err := RunChaos(ChaosConfig{Seed: seed, LossRate: 0.1, Plan: plan})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		res, _ := runOne(t, Scenario{Seed: seed, Chaos: &Chaos{LossRate: 0.1, Plan: plan}})
 		if len(res.Violations) != 0 {
 			t.Fatalf("seed %d: recovery invariants violated:\n%s", seed, strings.Join(res.Violations, "\n"))
 		}
@@ -49,10 +56,7 @@ func TestChaosAuditorCleanUnderLoss(t *testing.T) {
 // to end: drops must be observed, retransmitted, and still leave the run
 // audit-clean.
 func TestChaosRetransmissionRecovers(t *testing.T) {
-	res, err := RunChaos(ChaosConfig{Seed: 1, LossRate: 0.2, Duration: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runOne(t, Scenario{Seed: 1, Duration: 300, Chaos: &Chaos{LossRate: 0.2}})
 	if res.Retransmits == 0 {
 		t.Fatal("20% loss produced no retransmissions")
 	}
@@ -61,40 +65,10 @@ func TestChaosRetransmissionRecovers(t *testing.T) {
 	}
 }
 
-// TestChaosSweepDeterministicAcrossWorkers: the replicated chaos sweep
-// must produce identical results (violations, counters, gap — everything)
-// at any worker count.
-func TestChaosSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := ChaosConfig{
-		Seed: 1, Portables: 8, Duration: 180, Settle: 30,
-		LossRate: 0.15,
-		Plan:     "at 60 cell-out off-3 for 30\nat 100 crash-signaling",
-	}
-	serial, _, err := RunChaosSweep(context.Background(), cfg, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		got, st, err := RunChaosSweep(context.Background(), cfg, 4, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if st.Failed != 0 {
-			t.Fatalf("workers=%d: unexpected stats %+v", workers, st)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("workers=%d: sweep diverged from serial\ngot  %+v\nwant %+v", workers, got, serial)
-		}
-	}
-}
-
 // chaosTraceHead returns the first n lines of the pinned scenario's trace.
 func chaosTraceHead(t *testing.T, n int) []byte {
 	t.Helper()
-	res, trace, err := RunChaosTrace(chaosGoldenCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, trace := runOne(t, chaosGoldenCfg)
 	if len(res.Violations) != 0 {
 		t.Fatalf("pinned scenario no longer audit-clean: %v", res.Violations)
 	}

@@ -2,58 +2,8 @@ package sim
 
 import (
 	"context"
-	"reflect"
 	"testing"
 )
-
-// detCampusCfg keeps the determinism runs short but non-trivial: long
-// enough for handoffs, reservations and pool claims to accumulate.
-var detCampusCfg = CampusConfig{Seed: 7, Portables: 12, Duration: 900}
-
-// TestCampusComparisonDeterministicAcrossWorkers is the replication
-// regression test the parallel runner must never break: the serial
-// entry point and the pool at 1, 2 and 8 workers must produce identical
-// CampusResult values for the same seed.
-func TestCampusComparisonDeterministicAcrossWorkers(t *testing.T) {
-	serial, err := RunCampusComparison(detCampusCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != 3 {
-		t.Fatalf("expected 3 modes, got %d", len(serial))
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got, st, err := RunCampusComparisonParallel(context.Background(), detCampusCfg, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("workers=%d diverged from serial:\nserial:   %+v\nparallel: %+v", workers, serial, got)
-		}
-		if st.Trials != 3 || st.Failed != 0 {
-			t.Fatalf("workers=%d: unexpected stats %+v", workers, st)
-		}
-	}
-}
-
-// TestTthSensitivityDeterministicAcrossWorkers covers the sweep runner:
-// every threshold point must be identical at any worker count.
-func TestTthSensitivityDeterministicAcrossWorkers(t *testing.T) {
-	thresholds := []float64{30, 120, 600}
-	serial, err := RunTthSensitivity(detCampusCfg, thresholds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		got, _, err := RunTthSensitivityParallel(context.Background(), detCampusCfg, thresholds, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("workers=%d diverged from serial:\nserial:   %+v\nparallel: %+v", workers, serial, got)
-		}
-	}
-}
 
 // TestTheorem1DeterministicAcrossWorkers checks the aggregated study:
 // per-instance seed-splitting must make the totals independent of how
@@ -71,36 +21,6 @@ func TestTheorem1DeterministicAcrossWorkers(t *testing.T) {
 		}
 		if got != serial {
 			t.Fatalf("workers=%d diverged from serial:\nserial:   %+v\nparallel: %+v", workers, serial, got)
-		}
-	}
-}
-
-// TestGridSweepDeterministicAcrossWorkers pins the replication-seed
-// contract: replication 0 reproduces RunGrid exactly, and the sweep is
-// identical at any worker count.
-func TestGridSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := GridConfig{Seed: 3, Rows: 2, Cols: 3, Portables: 16, Duration: 600}
-	single, err := RunGrid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, _, err := RunGridSweep(context.Background(), cfg, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != 4 {
-		t.Fatalf("expected 4 replications, got %d", len(serial))
-	}
-	if !reflect.DeepEqual(serial[0], single) {
-		t.Fatalf("replication 0 diverged from RunGrid:\nsingle: %+v\nsweep:  %+v", single, serial[0])
-	}
-	for _, workers := range []int{2, 8} {
-		got, _, err := RunGridSweep(context.Background(), cfg, 4, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("workers=%d diverged from serial sweep", workers)
 		}
 	}
 }

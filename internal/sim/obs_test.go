@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -13,55 +12,22 @@ var updateObs = flag.Bool("update-obs", false, "rewrite the obs snapshot goldens
 
 // obsGoldenCfg is the pinned seed-1 observed campus scenario behind the
 // snapshot goldens.
-var obsGoldenCfg = CampusConfig{Seed: 1, Portables: 12, Duration: 900, Obs: true}
+var obsGoldenCfg = Scenario{Seed: 1, Portables: 12, Duration: 900, Obs: true}
 
 // TestObsZeroPerturbation is the observability layer's headline guarantee:
 // arming the observer changes NOTHING about the simulation. The full JSONL
 // event trace — every event, every sequence number, every timestamp — must
 // be byte-identical with the observer on and off.
 func TestObsZeroPerturbation(t *testing.T) {
-	cfg := CampusConfig{Seed: 7, Portables: 12, Duration: 900}
-	_, plain, err := RunCampusTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Scenario{Seed: 7, Portables: 12, Duration: 900}
+	_, plain := runOne(t, cfg)
 	cfg.Obs = true
-	resObs, observed, err := RunCampusTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resObs, observed := runOne(t, cfg)
 	if !bytes.Equal(plain, observed) {
 		t.Fatal("arming the observer perturbed the event trace")
 	}
 	if resObs.Handoffs == 0 {
 		t.Fatal("scenario produced no handoffs; the comparison is vacuous")
-	}
-}
-
-// TestObsSnapshotDeterminismAcrossWorkers: the merged snapshot of a
-// replicated observed sweep must be byte-identical — in both exposition
-// formats — at any worker count, because trials are deterministic and the
-// merge happens in replication order.
-func TestObsSnapshotDeterminismAcrossWorkers(t *testing.T) {
-	cfg := CampusConfig{Seed: 1, Portables: 10, Duration: 600}
-	_, serial, err := RunCampusObsSweep(context.Background(), cfg, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial == nil || serial.Runs != 4 {
-		t.Fatalf("serial sweep snapshot = %+v, want 4 merged runs", serial)
-	}
-	for _, workers := range []int{2, 8} {
-		_, got, err := RunCampusObsSweep(context.Background(), cfg, 4, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(got.Prometheus(), serial.Prometheus()) {
-			t.Fatalf("workers=%d: Prometheus snapshot diverged from serial", workers)
-		}
-		if !bytes.Equal(got.JSON(), serial.JSON()) {
-			t.Fatalf("workers=%d: JSON snapshot diverged from serial", workers)
-		}
 	}
 }
 
@@ -71,10 +37,8 @@ func TestObsSnapshotDeterminismAcrossWorkers(t *testing.T) {
 // regenerate deliberately with
 // `go test ./internal/sim -run TestObsSnapshotGolden -update-obs`.
 func TestObsSnapshotGolden(t *testing.T) {
-	_, snap, err := RunCampusObs(obsGoldenCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runOne(t, obsGoldenCfg)
+	snap := res.Snapshot
 	if snap == nil {
 		t.Fatal("observed run returned no snapshot")
 	}
@@ -118,8 +82,8 @@ func TestObsSnapshotGolden(t *testing.T) {
 func TestObsSpanExportDeterministic(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
-		cfg := CampusConfig{Seed: 3, Portables: 8, Duration: 400, Obs: true, Spans: &buf}
-		if _, _, _, err := runCampus(cfg, nil); err != nil {
+		cfg := Scenario{Seed: 3, Portables: 8, Duration: 400, Obs: true, Spans: &buf}
+		if _, err := RunCampus(cfg); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

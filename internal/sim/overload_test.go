@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -16,7 +15,7 @@ var updateOverload = flag.Bool("update-overload", false, "rewrite the overload t
 // overloadGoldenCfg is the pinned seed-1 load ramp under the reference
 // policy: 40 portables arriving over 240 s, two signaled connections
 // each, sized so the campus capacity region is exceeded mid-ramp.
-var overloadGoldenCfg = OverloadConfig{Seed: 1, Policy: "default"}
+var overloadGoldenCfg = Scenario{Seed: 1, Overload: &Overload{Policy: "default"}}
 
 // TestOverloadRampAudited is the headline robustness claim: under a
 // load ramp that exceeds the capacity region, the staged response runs
@@ -25,10 +24,7 @@ var overloadGoldenCfg = OverloadConfig{Seed: 1, Policy: "default"}
 // holds more than b_min on the contended link.
 func TestOverloadRampAudited(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		res, err := RunOverload(OverloadConfig{Seed: seed, Policy: "default"})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		res, _ := runOne(t, Scenario{Seed: seed, Overload: &Overload{Policy: "default"}})
 		if len(res.Violations) != 0 {
 			t.Fatalf("seed %d: invariant violations:\n%s", seed, strings.Join(res.Violations, "\n"))
 		}
@@ -52,10 +48,7 @@ func TestOverloadRampAudited(t *testing.T) {
 // cooldown, and eventually close on a successful probe — and the whole
 // transition path must be reproducible run to run.
 func TestOverloadBreakerLifecycle(t *testing.T) {
-	res, err := RunOverload(overloadGoldenCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runOne(t, overloadGoldenCfg)
 	if res.BreakerTrips == 0 {
 		t.Fatal("breaker never tripped")
 	}
@@ -68,10 +61,7 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 			t.Fatalf("breaker path missing %q: %s", want, path)
 		}
 	}
-	again, err := RunOverload(overloadGoldenCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again, _ := runOne(t, overloadGoldenCfg)
 	if !reflect.DeepEqual(again.BreakerPath, res.BreakerPath) {
 		t.Fatalf("breaker path not deterministic:\nfirst  %v\nsecond %v", res.BreakerPath, again.BreakerPath)
 	}
@@ -83,11 +73,8 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 // pre-existing scenarios untouched is pinned by the campus and chaos
 // trace goldens, which run without one.)
 func TestOverloadNilPolicyZeroCost(t *testing.T) {
-	cfg := OverloadConfig{Seed: 1} // Policy empty: disabled
-	res, trace, err := RunOverloadTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Scenario{Seed: 1, Overload: &Overload{}} // Policy empty: disabled
+	res, trace := runOne(t, cfg)
 	for _, kind := range []string{"overload-stage", "setup-shed", "degrade-cascade", "breaker-state"} {
 		if bytes.Contains(trace, []byte(`"type":"`+kind+`"`)) {
 			t.Fatalf("nil policy emitted %s events", kind)
@@ -99,10 +86,7 @@ func TestOverloadNilPolicyZeroCost(t *testing.T) {
 	if res.StageChanges != 0 || len(res.BreakerPath) != 0 {
 		t.Fatalf("nil policy produced stage/breaker transitions: %+v", res)
 	}
-	_, trace2, err := RunOverloadTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, trace2 := runOne(t, cfg)
 	if !bytes.Equal(trace, trace2) {
 		t.Fatal("nil-policy trace not byte-identical across runs")
 	}
@@ -112,15 +96,11 @@ func TestOverloadNilPolicyZeroCost(t *testing.T) {
 // lossy control plane plus a mid-ramp cell outage, with both auditors
 // armed. Both subsystems must fire and both invariant sets must hold.
 func TestOverloadComposesWithFaults(t *testing.T) {
-	res, err := RunOverload(OverloadConfig{
+	res, _ := runOne(t, Scenario{
 		Seed:     1,
-		Policy:   "default",
-		LossRate: 0.1,
-		Plan:     "at 150 cell-out off-2 for 60",
+		Overload: &Overload{Policy: "default"},
+		Chaos:    &Chaos{LossRate: 0.1, Plan: "at 150 cell-out off-2 for 60"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(res.Violations) != 0 {
 		t.Fatalf("invariant violations:\n%s", strings.Join(res.Violations, "\n"))
 	}
@@ -135,38 +115,12 @@ func TestOverloadComposesWithFaults(t *testing.T) {
 	}
 }
 
-// TestOverloadSweepDeterministicAcrossWorkers: the replicated sweep
-// must produce identical results — breaker paths, violations, counters,
-// everything — at any worker count.
-func TestOverloadSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := OverloadConfig{Seed: 1, Policy: "default", LossRate: 0.05}
-	serial, _, err := RunOverloadSweep(context.Background(), cfg, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		got, st, err := RunOverloadSweep(context.Background(), cfg, 4, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if st.Failed != 0 {
-			t.Fatalf("workers=%d: unexpected stats %+v", workers, st)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("workers=%d: sweep diverged from serial\ngot  %+v\nwant %+v", workers, got, serial)
-		}
-	}
-}
-
 // overloadTraceHead returns the first n lines of the pinned scenario's
 // trace, after re-checking that the scenario still exercises the whole
 // subsystem.
 func overloadTraceHead(t *testing.T, n int) []byte {
 	t.Helper()
-	res, trace, err := RunOverloadTrace(overloadGoldenCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, trace := runOne(t, overloadGoldenCfg)
 	if len(res.Violations) != 0 {
 		t.Fatalf("pinned scenario no longer audit-clean: %v", res.Violations)
 	}

@@ -11,8 +11,8 @@
 // Rival strategies from the related work register themselves under
 // stable names ("erica", an ABR-style fair-share switch allocator after
 // Fahmy & Jain; "measured", a capacity-region-free measurement-based
-// admitter after Jaramillo & Ying), and sim.RunArena races registered
-// pairs head-to-head over the identical seeded workload.
+// admitter after Jaramillo & Ying), and sim.Run races registered pairs
+// head-to-head over the identical seeded workload (Scenario.Roster).
 //
 // The registry is populated at init time and read-only afterwards, so
 // lookups are safe from concurrent replications. The default pair is
