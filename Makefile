@@ -74,6 +74,16 @@ TELEMETRY_RUN = Telemetry
 LOOPBACK_RUN = TestLoopback
 SOAK_RUN = TestSoak|TestNetfaultsEmptyPlan
 
+## The golden tests `make golden` regenerates, each with its -update
+## flag. gate-patterns checks these too, so a rename cannot leave
+## `make golden` silently regenerating nothing.
+CHAOS_GOLDEN = TestChaosTraceGolden
+OVERLOAD_GOLDEN = TestOverloadTraceGolden
+OBS_GOLDEN = TestObsSnapshotGolden
+ARENA_GOLDEN = TestArenaSnapshotGolden
+SOAK_GOLDEN = TestSoakGolden
+LIVEOBS_GOLDEN = TestLiveObsSnapshotGolden
+
 ## gate-patterns: go test passes when a -run pattern matches nothing,
 ## so a renamed test could silently empty a gate. This lists the tests
 ## each gate pattern selects, package by package, and fails when any
@@ -93,7 +103,13 @@ gate-patterns:
 	check '$(LIVEOBS_RUN)' ./internal/testnet ./internal/obs/live && \
 	check '$(TELEMETRY_RUN)' ./cmd/armsim ./cmd/armnode && \
 	check '$(LOOPBACK_RUN)' ./internal/testnet && \
-	check '$(SOAK_RUN)' ./internal/testnet
+	check '$(SOAK_RUN)' ./internal/testnet && \
+	check '$(CHAOS_GOLDEN)' ./internal/sim && \
+	check '$(OVERLOAD_GOLDEN)' ./internal/sim && \
+	check '$(OBS_GOLDEN)' ./internal/sim && \
+	check '$(ARENA_GOLDEN)' ./internal/sim && \
+	check '$(SOAK_GOLDEN)' ./internal/testnet && \
+	check '$(LIVEOBS_GOLDEN)' ./internal/testnet
 
 ## trace-determinism: the event-stream replication gate — every
 ## campus-family scenario list (modes, T_th, grid, chaos, overload,
@@ -157,8 +173,8 @@ testnet:
 ## workload, rotating fault plans covering loss, reordering, a
 ## partition and a crash/restart) whose per-epoch audits must be clean
 ## and whose JSONL report must match the checked-in golden
-## byte-for-byte. Includes the zero-cost proof that an empty netfaults
-## plan leaves the loopback traces untouched.
+## byte-for-byte. Includes the zero-cost proof that an empty fault plan
+## leaves the loopback traces untouched.
 soak:
 	$(GO) test -run '$(SOAK_RUN)' -count=1 ./internal/testnet
 
@@ -166,9 +182,9 @@ soak:
 ## output change.
 golden:
 	$(GO) test ./cmd/paperfigs -update
-	$(GO) test ./internal/sim -run TestChaosTraceGolden -update-chaos
-	$(GO) test ./internal/sim -run TestOverloadTraceGolden -update-overload
-	$(GO) test ./internal/sim -run TestObsSnapshotGolden -update-obs
-	$(GO) test ./internal/sim -run TestArenaSnapshotGolden -update-arena
-	$(GO) test ./internal/testnet -run TestSoakGolden -update-soak
-	$(GO) test ./internal/testnet -run TestLiveObsSnapshotGolden -update-live
+	$(GO) test ./internal/sim -run '$(CHAOS_GOLDEN)' -update-chaos
+	$(GO) test ./internal/sim -run '$(OVERLOAD_GOLDEN)' -update-overload
+	$(GO) test ./internal/sim -run '$(OBS_GOLDEN)' -update-obs
+	$(GO) test ./internal/sim -run '$(ARENA_GOLDEN)' -update-arena
+	$(GO) test ./internal/testnet -run '$(SOAK_GOLDEN)' -update-soak
+	$(GO) test ./internal/testnet -run '$(LIVEOBS_GOLDEN)' -update-live

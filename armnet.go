@@ -202,16 +202,9 @@ type FaultAuditor = faults.Auditor
 // deadlines, bounded retransmission, and the crash-recovery hold lease.
 type SignalOptions = signal.Options
 
-// ParseFaultPlan reads the line-oriented fault-plan grammar:
-//
-//	drop  <proto> <prob>          # proto: signal | maxmin | any
-//	dup   <proto> <prob>
-//	delay <proto> <prob> <seconds>
-//	at <time> cell-out <cell> [for <duration>]
-//	at <time> link-down <link> [for <duration>]
-//	at <time> blackout <cell> for <duration>
-//	at <time> crash-zone <zone>
-//	at <time> crash-signaling
+// ParseFaultPlan reads the one fault-plan grammar, shared with the live
+// testnet; faults.ParsePlan documents it. NewNetwork rejects the rules
+// only the live wire drives (reorder, `on <link>`, partition, crash).
 var ParseFaultPlan = faults.ParsePlan
 
 // OverloadPolicy parameterizes the staged overload-control subsystem

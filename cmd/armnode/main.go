@@ -25,7 +25,7 @@
 //
 //	armnode -mode soak [-soak-epochs N] [-seed S] [-plan FILE] [-out FILE]
 //	    Run the deterministic chaos soak: a generated workload on the
-//	    loopback fabric under a rotating netfaults plan, each epoch
+//	    loopback fabric under a rotating fault plan, each epoch
 //	    audited for leaked holds, ledger conservation, and rate
 //	    convergence. Exits non-zero on any violation.
 //
@@ -47,7 +47,7 @@ import (
 	"time"
 
 	"armnet/internal/clock"
-	"armnet/internal/netfaults"
+	"armnet/internal/faults"
 	"armnet/internal/obs/live"
 	"armnet/internal/testnet"
 )
@@ -63,7 +63,7 @@ func main() {
 		horizon = flag.Float64("horizon", 2.5, "wall-clock settle horizon in seconds (controller/orchestrate)")
 		epochs  = flag.Int("soak-epochs", 0, "soak epoch count (soak mode; 0 = default)")
 		seed    = flag.Int64("seed", 42, "workload and fault seed (soak mode)")
-		plan    = flag.String("plan", "", "netfaults plan file (soak mode; empty = default rotation)")
+		plan    = flag.String("plan", "", "fault plan file (soak mode; empty = default rotation)")
 		out     = flag.String("out", "", "soak report JSONL file (soak mode; empty = stdout)")
 		telAddr = flag.String("telemetry-addr", "", "serve /metrics, /healthz, /spans, /debug/pprof on this address (empty = off)")
 	)
@@ -349,11 +349,11 @@ func runSoak(epochs int, seed int64, planFile, outFile, telAddr string) error {
 		if err != nil {
 			return err
 		}
-		plan, err := netfaults.ParsePlanString(string(data))
+		plan, err := faults.ParsePlan(strings.NewReader(string(data)))
 		if err != nil {
 			return fmt.Errorf("%s: %w", planFile, err)
 		}
-		cfg.Plans = []*netfaults.Plan{plan}
+		cfg.Plans = []*faults.Plan{plan}
 	}
 	if telAddr != "" {
 		total := epochs

@@ -28,9 +28,11 @@
 // schedule (see internal/faults for the grammar): control messages are
 // dropped, duplicated, or delayed probabilistically, and components —
 // links, cells, zone profile servers, the signaling plane — fail and
-// recover at scheduled times. Connections then open through the
-// signaling plane so setups are exposed to message faults; tune it with
-// -signal-timeout and -signal-retries:
+// recover at scheduled times. The plan's live-only rules (reorder,
+// `on <link>`, partition, crash) are rejected before the run, and a fault
+// naming an unknown link, cell or zone fails it. Connections open
+// through the signaling plane so setups are exposed to message faults;
+// tune it with -signal-timeout and -signal-retries:
 //
 //	armsim -topology campus -fault-plan chaos.plan -trace - -seed 1
 //
@@ -76,6 +78,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"armnet"
@@ -340,6 +343,9 @@ func (sc scenario) runOnce(seed int64) (replication, error) {
 	if rec != nil && rec.Err() != nil {
 		return replication{}, rec.Err()
 	}
+	if inj := net.Manager().Inj; inj != nil && len(inj.Errors) > 0 {
+		return replication{}, fmt.Errorf("seed %d: fault plan: %s", seed, strings.Join(inj.Errors, "; "))
+	}
 	rep := replication{net: net, trace: traceBuf.Bytes()}
 	if o := net.Observer(); o != nil {
 		o.Finish(sc.duration)
@@ -394,7 +400,8 @@ func run(sc scenario, seed int64, replications, parallel int, out, statsOut io.W
 		return err
 	}
 	if sc.tracePath != "" {
-		if err := writeTrace(sc.tracePath, reps, out); err != nil {
+		trace := concat(reps, func(r replication) []byte { return r.trace })
+		if err := writeFileOrStdout(sc.tracePath, trace, out); err != nil {
 			return err
 		}
 	}
@@ -476,11 +483,8 @@ func writeObs(sc scenario, reps []replication, stdout io.Writer) error {
 		}
 	}
 	if sc.spansPath != "" {
-		var joined bytes.Buffer
-		for _, rep := range reps {
-			joined.Write(rep.spans)
-		}
-		if err := writeFileOrStdout(sc.spansPath, joined.Bytes(), stdout); err != nil {
+		spans := concat(reps, func(r replication) []byte { return r.spans })
+		if err := writeFileOrStdout(sc.spansPath, spans, stdout); err != nil {
 			return err
 		}
 	}
@@ -488,6 +492,16 @@ func writeObs(sc scenario, reps []replication, stdout io.Writer) error {
 		printSummary(stdout, merged)
 	}
 	return nil
+}
+
+// concat joins one per-replication export in replication order, so the
+// bytes are identical at any -parallel value.
+func concat(reps []replication, part func(replication) []byte) []byte {
+	var b bytes.Buffer
+	for _, rep := range reps {
+		b.Write(part(rep))
+	}
+	return b.Bytes()
 }
 
 func writeFileOrStdout(path string, data []byte, stdout io.Writer) error {
@@ -519,27 +533,6 @@ func printSummary(out io.Writer, snap *armnet.ObsSnapshot) {
 		tb.AddRow("handoff interruption p50/p99", fmt.Sprintf("%.1fms / %.1fms", s.InterruptP50*1e3, s.InterruptP99*1e3))
 	}
 	fmt.Fprint(out, tb.String())
-}
-
-// writeTrace concatenates the per-replication JSONL event traces in
-// replication order — deterministic regardless of -parallel — to the
-// given path ("-" selects stdout).
-func writeTrace(path string, reps []replication, stdout io.Writer) error {
-	w := stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	for _, rep := range reps {
-		if _, err := w.Write(rep.trace); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // printDetailed reports a single replication in full.

@@ -104,8 +104,9 @@ type Config struct {
 	// injection: the plan's message rules filter signaling and
 	// adaptation control packets, and its timed component faults are
 	// scheduled at construction time (so build the manager at simulated
-	// time zero). A nil or empty plan costs nothing — no RNG draws, no
-	// extra events.
+	// time zero). NewManager rejects the live-only rules (reorder,
+	// `on <link>`, partition, crash). A nil or empty plan costs nothing
+	// — no RNG draws, no extra events.
 	Faults *faults.Plan
 	// Overload, when non-nil, arms the staged overload-control
 	// subsystem (degrade cascades, priority load shedding, signaling
@@ -245,6 +246,9 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 	if len(env.Hosts) == 0 {
 		return nil, fmt.Errorf("core: environment has no wired hosts")
 	}
+	if err := cfg.Faults.Check(faults.Sim); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	cfg = cfg.withDefaults()
 	lg := admission.NewLedger(env.Backbone)
 	bus := eventbus.New(sim)
@@ -272,7 +276,7 @@ func NewManager(sim *des.Simulator, env *topology.Environment, cfg Config) (*Man
 	// Fault injection is wired before the protocol stacks are built so
 	// their delivery hooks are in place from the first control message.
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		m.Inj = faults.NewInjector(cfg.Faults, cfg.Seed, bus)
+		m.Inj = faults.NewInjector(cfg.Faults, faults.Sim, cfg.Seed, bus)
 		m.Cfg.Proto.Deliver = m.Inj.DeliverMaxmin
 		m.Cfg.Signal.Deliver = m.Inj.DeliverSignal
 	}

@@ -8,7 +8,7 @@ import (
 // FuzzParsePlan feeds arbitrary text to the plan parser. Invariants: the
 // parser never panics, and any plan it accepts survives a String() →
 // ParsePlan round trip to the identical rendering (the grammar is
-// self-describing).
+// self-describing). The seeds cover both planes' rules.
 func FuzzParsePlan(f *testing.F) {
 	f.Add(samplePlan)
 	f.Add("drop signal 0.1")
@@ -21,6 +21,12 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add("drop signal 2")
 	f.Add("at 10 blackout c")
 	f.Add("delay any 0.1 -1")
+	f.Add(liveSamplePlan)
+	f.Add("drop any 0.5\n")
+	f.Add("reorder maxmin 0.25 0.004 on core->sw-east\n")
+	f.Add("at 1 partition east for 2\nat 0.5 crash west for 1\n")
+	f.Add("at 2 crash core\n# comment\n\n")
+	f.Add("delay signal 1 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		p, err := ParsePlan(strings.NewReader(input))
 		if err != nil {

@@ -33,60 +33,99 @@ type Driver interface {
 	CrashSignaling() error
 }
 
-// seedSalt decorrelates the injector's RNG from the run's other streams
-// (manager, mobility) derived from the same master seed.
-const seedSalt = 0x6661756c7473 // "faults"
+// The seed salts decorrelate each plane's injector RNG from the run's
+// other streams (manager, mobility, workload) derived from the same
+// master seed. The pinned fault traces depend on both values.
+const (
+	simSeedSalt  = 0x6661756c7473 // "faults"
+	liveSeedSalt = 0x6e657466     // "netf"
+)
 
-// Injector executes a Plan: its Deliver* methods satisfy the delivery
-// hooks of internal/signal and internal/maxmin structurally, and Arm
-// schedules the plan's timed component faults on the simulator. All
-// randomness comes from one seed-derived RNG, and the simulation is
-// single-threaded, so identical (plan, seed) pairs inject identically.
-// An empty plan draws nothing and perturbs nothing.
+// Verdict is the injector's decision for one message. The zero value
+// delivers the message untouched.
+type Verdict struct {
+	// Drop suppresses the message; the sending protocol sees a loss and
+	// runs its own retransmission machinery.
+	Drop bool
+	// Dup delivers the message a second time right after the first
+	// (protocol handlers are idempotent, so a duplicate has no state
+	// effect).
+	Dup bool
+	// Delay is extra latency reported to the sending protocol.
+	Delay float64
+	// Reorder, when positive, defers the frame's fabric delivery by this
+	// much while the protocol proceeds undelayed, so frames sent later
+	// overtake it (live plane only).
+	Reorder float64
+}
+
+// Injector executes a Plan's message rules, and on the simulator its
+// timed component faults. All randomness comes from one seed-derived
+// RNG, so identical (plan, plane, seed) triples inject identically on
+// the single-threaded simulator clock; on the wall-clock UDP path calls
+// are serialized but their order is scheduling-dependent, so UDP
+// injection is random-but-unreproducible by design.
+//
+// A nil injector, or one built from an empty plan, decides every message
+// without drawing from the RNG and without allocating.
 type Injector struct {
 	plan *Plan
 	rng  *randx.Rand
 	bus  *eventbus.Bus
 
-	// Drops, Dups, Delays count message-rule firings; Components counts
-	// timed faults executed (restorations included).
-	Drops, Dups, Delays, Components int
+	// Drops, Dups, Delays, Reorders count message-rule firings;
+	// Components counts timed faults executed (restorations included).
+	Drops, Dups, Delays, Reorders, Components int
 	// Errors collects driver failures (unknown targets, etc.); the
 	// schedule keeps running.
 	Errors []string
 }
 
-// NewInjector builds an injector for the plan. A nil bus is allowed
-// (faults fire silently); a nil or empty plan yields an injector whose
-// hooks never draw.
-func NewInjector(plan *Plan, seed int64, bus *eventbus.Bus) *Injector {
-	return &Injector{plan: plan, rng: randx.New(seed ^ seedSalt), bus: bus}
+// NewInjector builds an injector for the plan on the given plane, which
+// selects the seed salt. A nil bus is allowed (faults fire silently); a
+// nil or empty plan yields an injector that never draws.
+func NewInjector(plan *Plan, pl Plane, seed int64, bus *eventbus.Bus) *Injector {
+	salt := int64(simSeedSalt)
+	if pl == Live {
+		salt = liveSeedSalt
+	}
+	return &Injector{plan: plan, rng: randx.New(seed ^ salt), bus: bus}
 }
 
 // DeliverSignal is the signal.Options.Deliver hook: it decides the fate
 // of one setup-protocol control message.
 func (in *Injector) DeliverSignal(conn string, hop int) (drop bool, delay float64) {
-	return in.deliver("signal", conn, hop)
+	v := in.decide("signal", "", conn, hop)
+	return v.Drop, v.Delay
 }
 
 // DeliverMaxmin is the maxmin.ProtocolOptions.Deliver hook: it decides
 // the fate of one ADVERTISE (update=false) or UPDATE (update=true)
 // packet hop.
 func (in *Injector) DeliverMaxmin(conn string, hop int, update bool) (drop bool, delay float64) {
-	return in.deliver("maxmin", conn, hop)
+	v := in.decide("maxmin", "", conn, hop)
+	return v.Drop, v.Delay
 }
 
-// deliver evaluates the message rules in plan order. A drop rule that
-// fires wins immediately; dup and delay rules compose (dup is counted
-// and published — the protocols' handlers are idempotent, so a duplicate
-// has no state effect; delays accumulate).
-func (in *Injector) deliver(proto, conn string, hop int) (bool, float64) {
+// Frame decides the fate of one live-plane frame of protocol family
+// proto ("signal" or "maxmin") crossing the backbone link link.
+func (in *Injector) Frame(proto, link string) Verdict {
+	return in.decide(proto, link, "", 0)
+}
+
+// decide evaluates the message rules in plan order, publishing one
+// FaultMessage per firing. A drop that fires wins immediately; dup,
+// delay and reorder compose (delays and reorder deferrals accumulate).
+func (in *Injector) decide(proto, link, conn string, hop int) Verdict {
+	var v Verdict
 	if in == nil || in.plan == nil {
-		return false, 0
+		return v
 	}
-	delay := 0.0
 	for _, r := range in.plan.Messages {
 		if r.Proto != "any" && r.Proto != proto {
+			continue
+		}
+		if r.Link != "" && r.Link != link {
 			continue
 		}
 		if !in.rng.Bernoulli(r.Prob) {
@@ -95,18 +134,23 @@ func (in *Injector) deliver(proto, conn string, hop int) (bool, float64) {
 		switch r.Action {
 		case "drop":
 			in.Drops++
-			eventbus.Pub(in.bus, eventbus.FaultMessage{Proto: proto, Action: "drop", Conn: conn, Hop: hop})
-			return true, delay
+			v.Drop = true
 		case "dup":
 			in.Dups++
-			eventbus.Pub(in.bus, eventbus.FaultMessage{Proto: proto, Action: "dup", Conn: conn, Hop: hop})
+			v.Dup = true
 		case "delay":
 			in.Delays++
-			delay += r.Delay
-			eventbus.Pub(in.bus, eventbus.FaultMessage{Proto: proto, Action: "delay", Conn: conn, Hop: hop, Delay: r.Delay})
+			v.Delay += r.Delay
+		case "reorder":
+			in.Reorders++
+			v.Reorder += r.Delay
+		}
+		eventbus.Pub(in.bus, eventbus.FaultMessage{Proto: proto, Action: r.Action, Conn: conn, Hop: hop, Delay: r.Delay})
+		if v.Drop {
+			return v
 		}
 	}
-	return false, delay
+	return v
 }
 
 // Arm schedules every timed fault of the plan on the simulator. Faults

@@ -5,8 +5,9 @@
 // The sim-side observer (internal/obs) subscribes to the event bus and
 // measures the control plane's *decisions*; this package measures the
 // *wire* — frames by kind and byte count, acks and losses, retransmits,
-// lease traffic, fault verdicts, malformed input — from hook seams in
-// internal/testnet, the same injection style internal/faults uses. The
+// lease traffic, the verdicts of the live plane's internal/faults
+// injector, malformed input — from hook seams in internal/testnet, the
+// same injection style internal/faults uses on the simulator. The
 // protocol packages stay untouched and the wire format is unchanged:
 // spans are correlated purely from frame identities (conn, hop, commit
 // flag) that already cross the wire.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"strings"
 
@@ -10,23 +9,12 @@ import (
 	"armnet/internal/maxmin"
 )
 
-// plan composes the explicit spec with the LossRate shorthand; a nil
-// part arms no faults.
+// plan parses the part's fault plan; a nil part arms no faults.
 func (c *Chaos) plan() (*faults.Plan, error) {
 	if c == nil {
 		return nil, nil
 	}
-	p, err := faults.ParsePlan(strings.NewReader(c.Plan))
-	if err != nil {
-		return nil, err
-	}
-	if c.LossRate > 0 {
-		if c.LossRate > 1 {
-			return nil, fmt.Errorf("sim: loss rate %v outside [0,1]", c.LossRate)
-		}
-		p.Messages = append(p.Messages, faults.MsgRule{Proto: "any", Action: "drop", Prob: c.LossRate})
-	}
-	return p, nil
+	return faults.ParsePlan(strings.NewReader(c.Plan))
 }
 
 // newFaultAuditor wires the fault-recovery auditor (conservation, leaked

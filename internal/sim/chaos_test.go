@@ -16,7 +16,7 @@ var updateChaos = flag.Bool("update-chaos", false, "rewrite the chaos trace gold
 // loss, a cell outage mid-run, and a signaling-plane crash.
 var chaosGoldenCfg = Scenario{
 	Seed: 1, Portables: 8, Duration: 120, Settle: 30,
-	Chaos: &Chaos{LossRate: 0.1, Plan: "at 30 cell-out off-2 for 30\nat 80 crash-signaling"},
+	Chaos: &Chaos{Plan: "at 30 cell-out off-2 for 30\nat 80 crash-signaling\ndrop any 0.1"},
 }
 
 // runOne runs a single scenario with its trace captured.
@@ -37,9 +37,9 @@ func runOne(t *testing.T, s Scenario) (Result, []byte) {
 // invariant holds — no leaked holds, ledger conservation, no orphaned
 // allocations, and maxmin re-convergence to the water-filling oracle.
 func TestChaosAuditorCleanUnderLoss(t *testing.T) {
-	plan := "at 120 cell-out off-2 for 60\nat 300 crash-zone west\nat 450 crash-signaling"
+	plan := "at 120 cell-out off-2 for 60\nat 300 crash-zone west\nat 450 crash-signaling\ndrop any 0.1"
 	for _, seed := range []int64{1, 2, 3} {
-		res, _ := runOne(t, Scenario{Seed: seed, Chaos: &Chaos{LossRate: 0.1, Plan: plan}})
+		res, _ := runOne(t, Scenario{Seed: seed, Chaos: &Chaos{Plan: plan}})
 		if len(res.Violations) != 0 {
 			t.Fatalf("seed %d: recovery invariants violated:\n%s", seed, strings.Join(res.Violations, "\n"))
 		}
@@ -56,12 +56,32 @@ func TestChaosAuditorCleanUnderLoss(t *testing.T) {
 // to end: drops must be observed, retransmitted, and still leave the run
 // audit-clean.
 func TestChaosRetransmissionRecovers(t *testing.T) {
-	res, _ := runOne(t, Scenario{Seed: 1, Duration: 300, Chaos: &Chaos{LossRate: 0.2}})
+	res, _ := runOne(t, Scenario{Seed: 1, Duration: 300, Chaos: &Chaos{Plan: "drop any 0.2"}})
 	if res.Retransmits == 0 {
 		t.Fatal("20% loss produced no retransmissions")
 	}
 	if len(res.Violations) != 0 {
 		t.Fatalf("violations: %v", res.Violations)
+	}
+}
+
+// TestChaosUnknownTargetIsViolation pins that a fault naming a cell or
+// link the world does not have fails the run's audit rather than passing
+// silently: the injector's driver errors land in Violations.
+func TestChaosUnknownTargetIsViolation(t *testing.T) {
+	for _, tc := range []struct{ plan, target string }{
+		{"at 30 cell-out off-99 for 30", "off-99"},
+		{"at 30 link-down nosuch for 30", "nosuch"},
+	} {
+		res, _ := runOne(t, Scenario{Seed: 1, Portables: 4, Duration: 90, Chaos: &Chaos{Plan: tc.plan}})
+		if len(res.Violations) != 2 {
+			t.Fatalf("%q: violations %v, want the fault and its restoration", tc.plan, res.Violations)
+		}
+		for _, v := range res.Violations {
+			if !strings.Contains(v, tc.target) {
+				t.Errorf("%q: violation %q does not name %s", tc.plan, v, tc.target)
+			}
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func TestOverloadComposesWithFaults(t *testing.T) {
 	res, _ := runOne(t, Scenario{
 		Seed:     1,
 		Overload: &Overload{Policy: "default"},
-		Chaos:    &Chaos{LossRate: 0.1, Plan: "at 150 cell-out off-2 for 60"},
+		Chaos:    &Chaos{Plan: "at 150 cell-out off-2 for 60\ndrop any 0.1"},
 	})
 	if len(res.Violations) != 0 {
 		t.Fatalf("invariant violations:\n%s", strings.Join(res.Violations, "\n"))

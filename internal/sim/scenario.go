@@ -88,12 +88,9 @@ type (
 
 // Chaos is a scenario's fault part.
 type Chaos struct {
-	// Plan is a fault-plan spec in the faults.ParsePlan grammar,
-	// composed with the LossRate rule. Empty is valid.
+	// Plan is a fault-plan spec in the faults.ParsePlan grammar; the
+	// simulator rejects its live-only rules. Empty is valid.
 	Plan string
-	// LossRate, when positive, adds a `drop any LossRate` rule — the
-	// quick way to make every control protocol lossy.
-	LossRate float64
 }
 
 // Overload is a scenario's load-ramp part: a population arriving
@@ -211,8 +208,9 @@ type Result struct {
 	// PeakStage is the highest stage any cell reached (Overload only).
 	PeakStage string
 	// Violations lists every invariant failure: degrade-before-drop
-	// from the overload auditor, then the recovery invariants from the
-	// fault auditor. Empty on a clean run.
+	// from the overload auditor, the recovery invariants from the fault
+	// auditor, then the fault injector's errors (a fault naming an
+	// unknown link, cell or zone). Empty on a clean run.
 	Violations []string
 }
 
@@ -419,6 +417,9 @@ func runWorld(s Scenario) (Result, error) {
 	}
 	for _, check := range audits {
 		res.Violations = append(res.Violations, check()...)
+	}
+	if mgr.Inj != nil {
+		res.Violations = append(res.Violations, mgr.Inj.Errors...)
 	}
 	if faud != nil {
 		res.ConvergenceGap = faud.ConvergenceGap()

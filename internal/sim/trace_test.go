@@ -69,9 +69,9 @@ func TestCampusTraceDeterminismAcrossWorkers(t *testing.T) {
 	grid := Scenario{Seed: 3, Rows: 2, Cols: 3, Portables: 16, Duration: 600}
 	chaos := Scenario{
 		Seed: 1, Portables: 8, Duration: 180, Settle: 30,
-		Chaos: &Chaos{LossRate: 0.15, Plan: "at 60 cell-out off-3 for 30\nat 100 crash-signaling"},
+		Chaos: &Chaos{Plan: "at 60 cell-out off-3 for 30\nat 100 crash-signaling\ndrop any 0.15"},
 	}
-	overload := Scenario{Seed: 1, Overload: &Overload{Policy: "default"}, Chaos: &Chaos{LossRate: 0.05}}
+	overload := Scenario{Seed: 1, Overload: &Overload{Policy: "default"}, Chaos: &Chaos{Plan: "drop any 0.05"}}
 	observed := Scenario{Seed: 1, Portables: 10, Duration: 600, Obs: true}
 	families := []struct {
 		name string

@@ -1,10 +1,11 @@
 package testnet
 
 import (
+	"strings"
 	"testing"
 
 	"armnet/internal/des"
-	"armnet/internal/netfaults"
+	"armnet/internal/faults"
 	"armnet/internal/wire"
 )
 
@@ -62,7 +63,7 @@ func BenchmarkLoopbackScenario(b *testing.B) {
 // free and a few nanoseconds, or wrapping the transport is no longer
 // behaviour-preserving in spirit.
 func BenchmarkNetfaultsVerdictEmpty(b *testing.B) {
-	inj := netfaults.NewInjector(&netfaults.Plan{}, 1)
+	inj := faults.NewInjector(&faults.Plan{}, faults.Live, 1, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if v := inj.Frame("signal", "ap-off-1"); v.Drop || v.Dup {
@@ -75,12 +76,12 @@ func BenchmarkNetfaultsVerdictEmpty(b *testing.B) {
 // plan with one rule per fault family — the injection hot path a soak
 // run exercises on every delivered frame.
 func BenchmarkNetfaultsVerdict(b *testing.B) {
-	plan, err := netfaults.ParsePlanString(
-		"drop signal 0.1\ndup maxmin 0.1\ndelay any 0.2 0.002\nreorder maxmin 0.15 0.004\n")
+	plan, err := faults.ParsePlan(strings.NewReader(
+		"drop signal 0.1\ndup maxmin 0.1\ndelay any 0.2 0.002\nreorder maxmin 0.15 0.004\n"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	inj := netfaults.NewInjector(plan, 1)
+	inj := faults.NewInjector(plan, faults.Live, 1, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		inj.Frame("maxmin", "ap-off-1")
@@ -94,7 +95,7 @@ func BenchmarkNetfaultsVerdict(b *testing.B) {
 func BenchmarkFaultyLoopbackScenario(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{Mode: ModeLoopback, Faults: &netfaults.Plan{}})
+		res, err := Run(Config{Mode: ModeLoopback, Faults: &faults.Plan{}})
 		if err != nil {
 			b.Fatal(err)
 		}

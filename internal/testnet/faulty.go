@@ -2,13 +2,13 @@ package testnet
 
 import (
 	"armnet/internal/clock"
-	"armnet/internal/netfaults"
+	"armnet/internal/faults"
 	"armnet/internal/obs/live"
 	"armnet/internal/wire"
 )
 
 // faultyTransport is the chaos layer: it wraps a real transport
-// (loopback or UDP alike) and applies a netfaults plan at the frame
+// (loopback or UDP alike) and applies a fault plan at the frame
 // boundary — per-link drop/dup/delay/reorder verdicts plus node
 // partitions and crashes — while the protocol code and the inner fabric
 // stay untouched. An empty injector makes every method a straight
@@ -16,11 +16,11 @@ import (
 // behaviour-preserving (the zero-cost contract the loopback gate pins).
 //
 // Partition and crash state lives here, not in the plan: the harness
-// arms NodeFault entries on the scenario clock and calls
+// arms the plan's node faults on the scenario clock and calls
 // Partition/Heal/Crash/Restart at the scripted instants.
 type faultyTransport struct {
 	inner   transport
-	inj     *netfaults.Injector
+	inj     *faults.Injector
 	clk     clock.Clock
 	routing *Routing
 	cluster *Cluster
@@ -45,9 +45,9 @@ type faultyTransport struct {
 	acc [4]int
 }
 
-func newFaulty(inner transport, plan *netfaults.Plan, seed int64, clk clock.Clock, routing *Routing, cluster *Cluster, nodes map[string]*Node) *faultyTransport {
+func newFaulty(inner transport, plan *faults.Plan, seed int64, clk clock.Clock, routing *Routing, cluster *Cluster, nodes map[string]*Node) *faultyTransport {
 	return &faultyTransport{
-		inner: inner, inj: netfaults.NewInjector(plan, seed),
+		inner: inner, inj: faults.NewInjector(plan, faults.Live, seed, nil),
 		clk: clk, routing: routing, cluster: cluster, nodes: nodes,
 		down: make(map[string]bool),
 	}
@@ -56,7 +56,7 @@ func newFaulty(inner transport, plan *netfaults.Plan, seed int64, clk clock.Cloc
 // SetPlan swaps the active fault plan (soak epochs rotate plans); nil
 // disables injection while keeping partition/crash state. The outgoing
 // injector's counters are folded into the running totals.
-func (t *faultyTransport) SetPlan(plan *netfaults.Plan, seed int64) {
+func (t *faultyTransport) SetPlan(plan *faults.Plan, seed int64) {
 	if in := t.inj; in != nil {
 		t.acc[0] += in.Drops
 		t.acc[1] += in.Dups
@@ -67,7 +67,7 @@ func (t *faultyTransport) SetPlan(plan *netfaults.Plan, seed int64) {
 		t.inj = nil
 		return
 	}
-	t.inj = netfaults.NewInjector(plan, seed)
+	t.inj = faults.NewInjector(plan, faults.Live, seed, nil)
 }
 
 // Stats returns the cumulative injector firings — across every plan the

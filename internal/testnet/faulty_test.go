@@ -5,12 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"armnet/internal/netfaults"
+	"armnet/internal/faults"
 )
 
-func mustPlan(t *testing.T, spec string) *netfaults.Plan {
+func mustPlan(t *testing.T, spec string) *faults.Plan {
 	t.Helper()
-	p, err := netfaults.ParsePlanString(spec)
+	p, err := faults.ParsePlan(strings.NewReader(spec))
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -24,7 +24,7 @@ func mustPlan(t *testing.T, spec string) *netfaults.Plan {
 // accounting does not move.
 func TestNetfaultsEmptyPlanZeroCost(t *testing.T) {
 	plain := mustRun(t, Config{Mode: ModeLoopback})
-	wrapped := mustRun(t, Config{Mode: ModeLoopback, Faults: &netfaults.Plan{}})
+	wrapped := mustRun(t, Config{Mode: ModeLoopback, Faults: &faults.Plan{}})
 
 	if len(wrapped.Violations) > 0 {
 		t.Fatalf("wrapped violations: %v", wrapped.Violations)
@@ -48,6 +48,35 @@ func TestNetfaultsEmptyPlanZeroCost(t *testing.T) {
 	}
 	if fs.Drops+fs.Dups+fs.Delays+fs.Reorders+fs.PartitionDrops != 0 {
 		t.Fatalf("empty plan fired: %+v", fs)
+	}
+}
+
+// TestRunRejectsUndrivablePlans pins that a plan the live plane cannot
+// act on fails before the run starts instead of silently testing
+// nothing: any plan under ModeSim (no wire to break), and a node fault
+// naming an agent outside the cluster — directly or in a soak epoch.
+func TestRunRejectsUndrivablePlans(t *testing.T) {
+	typo := mustPlan(t, "at 1 partition wset for 2\n")
+	for _, tc := range []struct {
+		name, want string
+		run        func() error
+	}{
+		{"sim-mode", "ModeSim", func() error {
+			_, err := Run(Config{Mode: ModeSim, Faults: mustPlan(t, "drop any 0.1\n")})
+			return err
+		}},
+		{"unknown-node", "wset", func() error {
+			_, err := Run(Config{Mode: ModeLoopback, Faults: typo})
+			return err
+		}},
+		{"soak-unknown-node", "wset", func() error {
+			_, err := RunSoak(SoakConfig{Epochs: 2, Plans: []*faults.Plan{DefaultSoakPlans()[0], typo}})
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

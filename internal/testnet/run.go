@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"armnet/internal/admission"
@@ -14,7 +16,6 @@ import (
 	"armnet/internal/eventbus"
 	"armnet/internal/faults"
 	"armnet/internal/maxmin"
-	"armnet/internal/netfaults"
 	"armnet/internal/obs"
 	"armnet/internal/obs/live"
 	"armnet/internal/qos"
@@ -36,11 +37,13 @@ type Config struct {
 	// AckTimeout bounds the per-frame ack wait (ModeUDP only; ≤0 →
 	// DefaultAckTimeout).
 	AckTimeout time.Duration
-	// Faults, when non-nil, interposes the netfaults chaos layer between
-	// the protocols and the transport (live modes only; ModeSim has no
-	// wire to break). An empty plan still wraps — proving the wrapped
-	// empty path behaviour-identical is itself a test target.
-	Faults *netfaults.Plan
+	// Faults, when non-nil, interposes the chaos layer between the
+	// protocols and the transport. Run rejects a non-empty plan under
+	// ModeSim (it has no wire to break), the simulator's component
+	// actions, and node faults naming an unknown agent. An empty plan
+	// still wraps — proving the wrapped empty path behaviour-identical
+	// is itself a test target.
+	Faults *faults.Plan
 	// FaultSeed salts the injector's RNG.
 	FaultSeed int64
 	// Lease arms wire hold-lease renewal (see LeaseConfig).
@@ -65,6 +68,9 @@ type Config struct {
 	// mid-run audits. Same-time hooks fire in slice order, after any
 	// script step sharing the instant.
 	hooks []soakHook
+	// epochPlans are the soak's rotating plans, which the hooks install;
+	// Run checks them with Faults before the run starts.
+	epochPlans []*faults.Plan
 }
 
 // soakHook is one timed runner callback (see Config.hooks).
@@ -161,6 +167,10 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	cluster := NewCluster(env)
+	if err := checkPlans(cfg, cluster.Names); err != nil {
+		return nil, err
+	}
 
 	var sim *des.Simulator
 	var wall *clock.Wall
@@ -176,7 +186,7 @@ func Run(cfg Config) (*Result, error) {
 	cfg.Obs.SetNow(clk.Now)
 	r := &runner{
 		cfg: cfg, env: env, clk: clk,
-		cluster: NewCluster(env),
+		cluster: cluster,
 		routing: NewRouting(),
 		live:    make(map[string]topology.Route),
 		mmLinks: make(map[topology.LinkID]bool),
@@ -210,7 +220,7 @@ func Run(cfg Config) (*Result, error) {
 		r.faulty = newFaulty(r.tr, cfg.Faults, cfg.FaultSeed, clk, r.routing, r.cluster, r.nodes)
 		r.faulty.obs = cfg.Obs
 		r.tr = r.faulty
-		armNodeFaults(clk, r.faulty, cfg.Faults.Nodes)
+		armNodeFaults(clk, r.faulty, cfg.Faults.Timed)
 	}
 
 	bus := eventbus.New(clk)
@@ -539,19 +549,42 @@ func (r *runner) resyncAgent(agent string, ttl float64) {
 	}
 }
 
+// checkPlans rejects, before the run starts, the faults the live plane
+// cannot drive: any plan under ModeSim, the simulator's component
+// actions, and node faults naming an agent outside the cluster.
+func checkPlans(cfg Config, agents []string) error {
+	if cfg.Mode == ModeSim && !cfg.Faults.Empty() {
+		return fmt.Errorf("testnet: ModeSim has no wire to fault; run the plan in ModeLoopback or ModeUDP")
+	}
+	for _, p := range append([]*faults.Plan{cfg.Faults}, cfg.epochPlans...) {
+		if p == nil {
+			continue
+		}
+		if err := p.Check(faults.Live); err != nil {
+			return fmt.Errorf("testnet: %w", err)
+		}
+		for _, f := range p.Timed {
+			if !slices.Contains(agents, f.Target) {
+				return fmt.Errorf("testnet: %q names unknown node %q (want one of %s)", f, f.Target, strings.Join(agents, ", "))
+			}
+		}
+	}
+	return nil
+}
+
 // armNodeFaults schedules a plan's partition/crash events on the
 // scenario clock.
-func armNodeFaults(clk clock.Clock, ft *faultyTransport, faults []netfaults.NodeFault) {
-	for _, nf := range faults {
+func armNodeFaults(clk clock.Clock, ft *faultyTransport, timed []faults.TimedFault) {
+	for _, nf := range timed {
 		nf := nf
 		switch nf.Action {
 		case "partition":
-			clk.PostAfter(nf.At, func() { ft.Partition(nf.Node) })
-			clk.PostAfter(nf.At+nf.For, func() { ft.Heal(nf.Node) })
+			clk.PostAfter(nf.At, func() { ft.Partition(nf.Target) })
+			clk.PostAfter(nf.At+nf.For, func() { ft.Heal(nf.Target) })
 		case "crash":
-			clk.PostAfter(nf.At, func() { ft.Crash(nf.Node) })
+			clk.PostAfter(nf.At, func() { ft.Crash(nf.Target) })
 			if nf.For > 0 {
-				clk.PostAfter(nf.At+nf.For, func() { ft.Restart(nf.Node) })
+				clk.PostAfter(nf.At+nf.For, func() { ft.Restart(nf.Target) })
 			}
 		}
 	}

@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"armnet/internal/faults"
-	"armnet/internal/netfaults"
 	"armnet/internal/obs"
 	"armnet/internal/obs/live"
 	"armnet/internal/randx"
@@ -15,7 +15,7 @@ import (
 
 // SoakConfig parameterizes a soak run: a generated setup/handoff/close
 // workload executed for Epochs scripted epochs on the loopback fabric,
-// each epoch under a rotating netfaults plan, each epoch boundary
+// each epoch under a rotating fault plan, each epoch boundary
 // audited with the same oracle the final audit uses. Sim-clock seconds
 // are free, so a multi-minute scenario soaks in well under a second of
 // wall time — short soaks are CI material.
@@ -33,8 +33,9 @@ type SoakConfig struct {
 	// Plans rotate across epochs: epoch e runs Plans[e%len(Plans)] (nil
 	// → DefaultSoakPlans). Node faults are epoch-relative; a crash that
 	// never heals on its own (for-less) is force-restarted at the heal
-	// window so every epoch ends whole.
-	Plans []*netfaults.Plan
+	// window so every epoch ends whole. Run rejects the simulator's
+	// component actions and unknown node names before the soak starts.
+	Plans []*faults.Plan
 	// Lease configures wire hold-lease renewal (zero → Period 0.5s,
 	// default miss budget).
 	Lease LeaseConfig
@@ -137,15 +138,15 @@ type SoakResult struct {
 // is loss and reordering, epoch 1 adds signaling loss, a maxmin delay
 // and an east partition, epoch 2 duplicates frames and crash-restarts
 // west — together covering every fault family in the grammar.
-func DefaultSoakPlans() []*netfaults.Plan {
+func DefaultSoakPlans() []*faults.Plan {
 	specs := []string{
 		"drop any 0.15\nreorder any 0.2 0.004\n",
 		"drop signal 0.25\ndelay maxmin 0.3 0.002\nat 1 partition east for 2\n",
 		"dup any 0.1\nat 0.8 crash west for 2.2\n",
 	}
-	plans := make([]*netfaults.Plan, len(specs))
+	plans := make([]*faults.Plan, len(specs))
 	for i, spec := range specs {
-		p, err := netfaults.ParsePlanString(spec)
+		p, err := faults.ParsePlan(strings.NewReader(spec))
 		if err != nil {
 			panic("testnet: default soak plan " + err.Error())
 		}
@@ -202,7 +203,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		)
 		// Node faults are epoch-relative and clamped into the active
 		// window so every agent is back before the audit.
-		for _, nf := range plan.Nodes {
+		for _, nf := range plan.Timed {
 			nf := nf
 			start := base + clampF(nf.At, 0, active-0.5)
 			end := base + active
@@ -212,13 +213,13 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 			switch nf.Action {
 			case "partition":
 				hooks = append(hooks,
-					soakHook{at: start, fn: func(r *runner) { r.faulty.Partition(nf.Node) }},
-					soakHook{at: end, fn: func(r *runner) { r.faulty.Heal(nf.Node) }},
+					soakHook{at: start, fn: func(r *runner) { r.faulty.Partition(nf.Target) }},
+					soakHook{at: end, fn: func(r *runner) { r.faulty.Heal(nf.Target) }},
 				)
 			case "crash":
 				hooks = append(hooks,
-					soakHook{at: start, fn: func(r *runner) { r.faulty.Crash(nf.Node) }},
-					soakHook{at: end, fn: func(r *runner) { r.faulty.Restart(nf.Node) }},
+					soakHook{at: start, fn: func(r *runner) { r.faulty.Crash(nf.Target) }},
+					soakHook{at: end, fn: func(r *runner) { r.faulty.Restart(nf.Target) }},
 				)
 			}
 		}
@@ -236,13 +237,14 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		Mode:        ModeLoopback,
 		Script:      soakScript(randx.New(cfg.Seed), cfg.Epochs, cfg.EpochLen, active),
 		Horizon:     float64(cfg.Epochs)*cfg.EpochLen + 1,
-		Faults:      &netfaults.Plan{}, // hooks swap the live plan per epoch
+		Faults:      &faults.Plan{}, // hooks swap the live plan per epoch
 		FaultSeed:   cfg.Seed,
 		Lease:       cfg.Lease,
 		Readvertise: cfg.Readvertise,
 		Lenient:     true,
 		Obs:         cfg.Obs,
 		hooks:       hooks,
+		epochPlans:  cfg.Plans,
 	})
 	if err != nil {
 		return nil, err

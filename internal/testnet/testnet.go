@@ -36,6 +36,16 @@
 // per-node frame multisets compared — real scheduling may interleave
 // concurrent protocol sessions differently than the simulator did, but
 // it must deliver exactly the same frames). See diff.go for the mapping.
+//
+// # Faults
+//
+// Config.Faults and the soak's rotating plans use the one fault grammar
+// of internal/faults. The fault transport (faulty.go) asks a live-plane
+// faults.Injector for a verdict per frame and schedules the partition
+// and crash node faults on the scenario clock. Run rejects, before the
+// run starts, what the live plane cannot drive: the simulator's
+// component actions, node names outside the cluster, and any plan under
+// ModeSim.
 package testnet
 
 // Mode selects the fabric and clock a scenario runs on.
